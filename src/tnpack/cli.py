@@ -9,6 +9,7 @@ verification, 2 unparsable input, 3 violated precondition or bad parameters,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -291,9 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # building the subcommand tree costs far more than parsing with it, and
+    # parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

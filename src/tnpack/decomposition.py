@@ -215,8 +215,8 @@ class NiceTreeDecomposition:
         self.n = n
         self.kinds = tuple(kinds)
         self.payloads = tuple(payloads)
-        self.bags = tuple(tuple(b) for b in bags)
-        self.children = tuple(tuple(c) for c in children)
+        self.bags = tuple(map(tuple, bags))
+        self.children = tuple(map(tuple, children))
         self.root = root
         parent = [-1] * count
         order: list[int] = []
@@ -282,13 +282,13 @@ class _NiceBuilder:
         self.kinds: list[int] = []
         self.payloads: list[int] = []
         self.bags: list[tuple[int, ...]] = []
-        self.children: list[list[int]] = []
+        self.children: list[tuple[int, ...]] = []
 
-    def add(self, kind, payload, bag, children) -> int:
+    def add(self, kind, payload, bag: tuple, children: tuple) -> int:
         self.kinds.append(kind)
         self.payloads.append(payload)
-        self.bags.append(tuple(bag))
-        self.children.append(list(children))
+        self.bags.append(bag)
+        self.children.append(children)
         return len(self.kinds) - 1
 
     def leaf_chain(self, bag) -> int:
@@ -356,10 +356,10 @@ def make_nice(td: TreeDecomposition, g: Graph, pre_validated: bool = False) -> N
                 degree[s] -= 1
                 if degree[s] <= 1 and not sorted_bags[s]:
                     queue.append(s)
-    root = max(
-        (t for t in range(count) if alive[t]),
-        key=lambda t: (sum(alive[s] for s in td.tree.adj[t]), -t),
-    )
+    # degree[t] now counts the alive neighbours of every alive t; the root
+    # is the lowest-numbered alive node of maximum degree
+    top_degree = max(d for d, a in zip(degree, alive) if a)
+    root = next(t for t in range(count) if alive[t] and degree[t] == top_degree)
     builder = _NiceBuilder(g.n)
     # post-order over the pruned decomposition tree, iteratively
     built: dict[int, int] = {}

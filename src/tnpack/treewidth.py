@@ -40,15 +40,18 @@ NEG = -1  # infeasible; strictly below any packing size
 
 _POW5 = tuple(5 ** i for i in range(28))
 
-# transition tables are cached by structural signature, not by node, so long
-# chains (paths) reuse one program; the join cache is capped since its numpy
-# arrays are large
+# transition programs are built with numpy digit arithmetic and cached by
+# structural signature, not by node, so long chains (paths) reuse one
+# program; the numpy join cache is a FIFO capped since its arrays are large
+# (a 5-vertex bag's program holds tens of thousands of splits)
 _forget_cache: dict = {}
 _intro_cache: dict = {}
 _join_py_cache: dict = {}
 _join_np_cache: dict = {}
 _JOIN_NP_CACHE_MAX = 32
-_JOIN_NUMPY_MIN_SIZE = 626  # bags of 4+ vertices take the vectorized path
+# joins over tables of this many entries or more are evaluated with numpy:
+# 5**4 = 625, so bags of 5+ vertices; smaller bags keep per-state split lists
+_JOIN_NUMPY_MIN_SIZE = 626
 
 
 def encode_state(bag, chosen, counts) -> int:
@@ -96,6 +99,42 @@ def _forget_program(child_size: int, pos: int) -> list[int]:
     return prog
 
 
+def _digit_array(size: int) -> np.ndarray:
+    """(5**size, size) array of every state's base-5 digits, position q in
+    column q."""
+    states = np.arange(_POW5[size], dtype=np.int64)
+    return states[:, None] // np.asarray(_POW5[:size], dtype=np.int64) % 5
+
+
+def _intro_entry(size: int, pos: int, nbr_mask: int):
+    """Cached introduce program for one signature: ``(cidx, add, steps)``.
+
+    ``cidx`` and ``add`` are indexed by parent state (see _intro_program);
+    ``steps`` lists ``(parent state, child state, add)`` for the feasible
+    parent states only, which is all the table evaluation needs.
+    """
+    key = (size, pos, nbr_mask)
+    cached = _intro_cache.get(key)
+    if cached is not None:
+        return cached
+    digits = _digit_array(size)
+    d = digits[:, pos]
+    rest = np.delete(digits, pos, axis=1)
+    nbr = np.array([(nbr_mask >> q) & 1 for q in range(size - 1)], dtype=bool)
+    in_b = d >= 3
+    feasible = np.where(in_b, d - 2, d) == in_b + (rest[:, nbr] >= 3).sum(axis=1)
+    # a chosen new vertex raises each neighbour's count by one, so the
+    # neighbour's child digit is one lower and must not drop below its floor
+    feasible &= ~in_b | ~((rest[:, nbr] == 0) | (rest[:, nbr] == 3)).any(axis=1)
+    child = (rest - np.outer(in_b, nbr)) @ np.asarray(_POW5[: size - 1], dtype=np.int64)
+    cidx = np.where(feasible, child, NEG).tolist()
+    add = (in_b & feasible).astype(np.int64).tolist()
+    steps = [(s, c, a) for s, (c, a) in enumerate(zip(cidx, add)) if c >= 0]
+    cached = (cidx, add, steps)
+    _intro_cache[key] = cached
+    return cached
+
+
 def _intro_program(size: int, pos: int, nbr_mask: int) -> tuple[list[int], list[int]]:
     """Per parent state: child state index (or -1 if infeasible) and the +1
     flag for the introduced vertex being chosen.
@@ -103,91 +142,66 @@ def _intro_program(size: int, pos: int, nbr_mask: int) -> tuple[list[int], list[
     ``nbr_mask`` marks which child-bag positions are neighbours of the new
     vertex; their counts are one lower in the child state.
     """
-    key = (size, pos, nbr_mask)
-    cached = _intro_cache.get(key)
-    if cached is not None:
-        return cached
-    table = _POW5[size]
-    cidx = [NEG] * table
-    add = [0] * table
-    for s in range(table):
-        digits = []
-        x = s
-        for _ in range(size):
-            digits.append(x % 5)
-            x //= 5
-        d = digits[pos]
-        rest = digits[:pos] + digits[pos + 1 :]
-        in_b = d >= 3
-        count_v = d - 2 if in_b else d
-        nb = (1 if in_b else 0) + sum(
-            1 for q, dq in enumerate(rest) if (nbr_mask >> q) & 1 and dq >= 3
-        )
-        if count_v != nb:
-            continue
-        child_digits = list(rest)
-        if in_b:
-            ok = True
-            for q, dq in enumerate(rest):
-                if (nbr_mask >> q) & 1:
-                    # chosen neighbours drop to count 0 only if unchosen
-                    if dq in (0, 3):
-                        ok = False
-                        break
-                    child_digits[q] = dq - 1
-            if not ok:
-                continue
-        c = 0
-        for q in range(size - 2, -1, -1):
-            c = c * 5 + child_digits[q]
-        cidx[s] = c
-        add[s] = 1 if in_b else 0
-    _intro_cache[key] = (cidx, add)
+    cidx, add, _ = _intro_entry(size, pos, nbr_mask)
     return cidx, add
 
 
-def _state_digits(s: int, size: int) -> list[int]:
-    digits = []
-    for _ in range(size):
-        digits.append(s % 5)
-        s //= 5
-    return digits
+def _join_triples(chosen: bool, k: int) -> np.ndarray:
+    """(parent, left, right) digits at one join position, as the rows of a
+    3 x m array, for a vertex with ``k`` chosen bag neighbours.
+
+    The two side counts add up to the parent count plus the ones both sides
+    see: the vertex itself if chosen and its k chosen neighbours. Each side
+    keeps the vertex's floor (1 if chosen, else 0). Rows are in (parent
+    digit, left digit) order, the canonical split order."""
+    lo = 1 if chosen else 0
+    off = 2 if chosen else 0
+    rows = [
+        (c + off, f1 + off, c + lo + k - f1 + off)
+        for c in range(lo, 3)
+        for f1 in range(lo, 3)
+        if lo <= c + lo + k - f1 <= 2
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3).T
 
 
-def _join_splits(s: int, size: int, adj_masks) -> tuple[int, list[tuple[int, int]]]:
-    """All (left state, right state) pairs combining to state ``s`` at a join,
-    in canonical order, plus |B| for the overlap correction."""
-    digits = _state_digits(s, size)
-    b_mask = 0
-    for q, d in enumerate(digits):
-        if d >= 3:
-            b_mask |= 1 << q
-    options: list[list[tuple[int, int]]] = []
-    for q, d in enumerate(digits):
-        in_b = d >= 3
-        count = d - 2 if in_b else d
-        target = count + (1 if in_b else 0) + (adj_masks[q] & b_mask).bit_count()
-        lo = 1 if in_b else 0
-        opts = []
-        for f1 in range(lo, 3):
-            f2 = target - f1
-            if lo <= f2 <= 2:
-                opts.append((f1 + 2 if in_b else f1, f2 + 2 if in_b else f2))
-        if not opts:
-            return b_mask.bit_count(), []
-        options.append(opts)
-    pairs = [(0, 0)]
-    for q, opts in enumerate(options):
-        mul = _POW5[q]
-        pairs = [(s1 + d1 * mul, s2 + d2 * mul) for s1, s2 in pairs for d1, d2 in opts]
-    return b_mask.bit_count(), pairs
+def _build_join_program(size: int, adj_masks: tuple[int, ...]):
+    """Every (left state, right state) split of every join state, grouped by
+    parent state in canonical order: (idx1, idx2, starts, states, bcard).
+
+    For a fixed chosen set B each position has a fixed short list of digit
+    triples; their product over positions, with position 0 varying slowest,
+    lists B's splits in canonical order, and a stable sort by parent state
+    merges the 2**size blocks."""
+    triples = [[_join_triples(chosen, k) for k in range(size)] for chosen in (False, True)]
+    blocks = []
+    for b_mask in range(1 << size):
+        split = np.zeros((3, 1), dtype=np.int64)
+        for q in range(size):
+            digits = triples[(b_mask >> q) & 1][(adj_masks[q] & b_mask).bit_count()]
+            split = (split[:, :, None] + digits[:, None, :] * _POW5[q]).reshape(3, -1)
+        blocks.append(split)
+    tgt, idx1, idx2 = np.concatenate(blocks, axis=1)
+    # a stable sort on 16-bit keys is a radix sort
+    key = tgt.astype(np.uint16) if _POW5[size] <= 1 << 16 else tgt
+    order = np.argsort(key, kind="stable")
+    sorted_tgt = tgt[order]
+    starts = np.flatnonzero(np.r_[True, sorted_tgt[1:] != sorted_tgt[:-1]])
+    bcard = (_digit_array(size) >= 3).sum(axis=1).tolist()
+    return idx1[order], idx2[order], starts, sorted_tgt[starts], bcard
 
 
 def _join_py_program(size: int, adj_masks: tuple[int, ...]):
+    """Per state: (|B|, list of (left state, right state) splits)."""
     key = (size, adj_masks)
     prog = _join_py_cache.get(key)
     if prog is None:
-        prog = [_join_splits(s, size, adj_masks) for s in range(_POW5[size])]
+        idx1, idx2, starts, states, bcard = _build_join_program(size, adj_masks)
+        prog = [(card, []) for card in bcard]
+        pairs = list(zip(idx1.tolist(), idx2.tolist()))
+        bounds = starts.tolist() + [len(pairs)]
+        for i, s in enumerate(states.tolist()):
+            prog[s] = (bcard[s], pairs[bounds[i] : bounds[i + 1]])
         _join_py_cache[key] = prog
     return prog
 
@@ -198,30 +212,23 @@ def _join_np_program(size: int, adj_masks: tuple[int, ...]):
     if prog is None:
         if len(_join_np_cache) >= _JOIN_NP_CACHE_MAX:
             _join_np_cache.pop(next(iter(_join_np_cache)))
-        idx1: list[int] = []
-        idx2: list[int] = []
-        target: list[int] = []
-        bcard = [0] * _POW5[size]
-        for s in range(_POW5[size]):
-            card, pairs = _join_splits(s, size, adj_masks)
-            bcard[s] = card
-            for s1, s2 in pairs:
-                idx1.append(s1)
-                idx2.append(s2)
-                target.append(s)
-        tgt = np.asarray(target, dtype=np.int64)
-        order = np.argsort(tgt, kind="stable")
-        sorted_tgt = tgt[order]
-        starts = np.flatnonzero(np.r_[True, sorted_tgt[1:] != sorted_tgt[:-1]])
-        prog = (
-            np.asarray(idx1, dtype=np.int64)[order],
-            np.asarray(idx2, dtype=np.int64)[order],
-            starts,
-            sorted_tgt[starts],
-            bcard,
-        )
+        prog = _build_join_program(size, adj_masks)
         _join_np_cache[key] = prog
     return prog
+
+
+def _join_pairs(size: int, adj_masks: tuple[int, ...], s: int):
+    """|B| and the canonical (left state, right state) splits of state ``s``,
+    read from the program the evaluator uses for this join."""
+    if _POW5[size] < _JOIN_NUMPY_MIN_SIZE:
+        return _join_py_program(size, adj_masks)[s]
+    idx1, idx2, starts, states, bcard = _join_np_program(size, adj_masks)
+    i = int(np.searchsorted(states, s))
+    if i == len(states) or states[i] != s:
+        return bcard[s], []
+    hi = starts[i + 1] if i + 1 < len(starts) else len(idx1)
+    lo = starts[i]
+    return bcard[s], list(zip(idx1[lo:hi].tolist(), idx2[lo:hi].tolist()))
 
 
 def _bag_position(bag, v) -> int:
@@ -231,17 +238,23 @@ def _bag_position(bag, v) -> int:
         raise ValueError(f"vertex {v} not in bag {bag}") from None
 
 
+def _nbr_mask(bag, v, nbrs) -> int:
+    """Bit q set when the q-th vertex of ``bag`` other than ``v`` is in
+    ``nbrs``: the neighbour mask of an introduce signature."""
+    mask = 0
+    q = 0
+    for u in bag:
+        if u != v:
+            if u in nbrs:
+                mask |= 1 << q
+            q += 1
+    return mask
+
+
 def _intro_signature(ntd: NiceTreeDecomposition, t: int, g: Graph):
     bag = ntd.bags[t]
     v = ntd.payloads[t]
-    pos = _bag_position(bag, v)
-    rest = bag[:pos] + bag[pos + 1 :]
-    nbrs = set(g.adj[v])
-    mask = 0
-    for q, u in enumerate(rest):
-        if u in nbrs:
-            mask |= 1 << q
-    return len(bag), pos, mask
+    return len(bag), _bag_position(bag, v), _nbr_mask(bag, v, g.adj[v])
 
 
 def _join_adj_masks(ntd: NiceTreeDecomposition, t: int, g: Graph) -> tuple[int, ...]:
@@ -359,26 +372,38 @@ def compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> list[list[int]]:
     children = ntd.children
     adj = g.adj
     pow5 = _POW5
-    forget_progs = _forget_cache
+    intro_cache = _intro_cache
     for t in ntd.order:
         kind = kinds[t]
         if kind == FORGET:
             child = children[t][0]
             cb = bags[child]
-            low = pow5[cb.index(payloads[t])]
-            high = 5 * low
+            pos = cb.index(payloads[t])
+            low = pow5[pos]
             ct = tables[child]
-            # the five extensions of a parent state sit on an arithmetic
-            # slice of the child table, and max() over NEG entries is NEG
-            tables[t] = [
-                max(ct[h * high + l : h * high + l + high : low])
-                for h in range(pow5[len(cb) - 1] // low)
-                for l in range(low)
-            ]
+            # max() over NEG entries is NEG. When the dropped digit is the
+            # lowest or the highest, the child entries with digit d form one
+            # slice in parent-state order, and the parent table is the
+            # elementwise max of the five slices.
+            if pos == 0:
+                tables[t] = list(map(max, ct[0::5], ct[1::5], ct[2::5], ct[3::5], ct[4::5]))
+            elif pos == len(cb) - 1:
+                tables[t] = list(
+                    map(max, ct[:low], ct[low : 2 * low], ct[2 * low : 3 * low],
+                        ct[3 * low : 4 * low], ct[4 * low :])
+                )
+            else:
+                # the five extensions of a parent state sit on an
+                # arithmetic slice of the child table
+                high = 5 * low
+                tables[t] = [
+                    max(ct[h * high + l : h * high + l + high : low])
+                    for h in range(pow5[len(cb) - 1] // low)
+                    for l in range(low)
+                ]
         elif kind == INTRODUCE:
             bag = bags[t]
             v = payloads[t]
-            pos = bag.index(v)
             nbrs = adj[v]
             mask = 0
             q = 0
@@ -387,12 +412,15 @@ def compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> list[list[int]]:
                     if u in nbrs:
                         mask |= 1 << q
                     q += 1
-            cidx, add = _intro_program(len(bag), pos, mask)
+            key = (len(bag), bag.index(v), mask)
+            steps = (intro_cache.get(key) or _intro_entry(*key))[2]
             ct = tables[children[t][0]]
-            tables[t] = [
-                NEG if c < 0 or (val := ct[c]) < 0 else val + a
-                for c, a in zip(cidx, add)
-            ]
+            new = [NEG] * pow5[len(bag)]
+            for s, c, a in steps:
+                val = ct[c]
+                if val >= 0:
+                    new[s] = val + a
+            tables[t] = new
         elif kind == LEAF:
             tables[t] = [0, NEG, NEG, 1, NEG]
         else:
@@ -409,52 +437,63 @@ def trace_entry(
     if tables[node][state] < 0:
         raise ValueError(f"entry {state} at node {node} is infeasible")
     chosen: set[int] = set()
+    kinds = ntd.kinds
+    bags = ntd.bags
+    payloads = ntd.payloads
+    children = ntd.children
+    adj = g.adj
     stack = [(node, state)]
     while stack:
         t, s = stack.pop()
-        value = tables[t][s]
-        kind = ntd.kinds[t]
-        if kind == LEAF:
-            if s == 3:
-                chosen.add(ntd.payloads[t])
-            continue
-        if kind == FORGET:
-            child = ntd.children[t][0]
-            child_bag = ntd.bags[child]
-            pos = _bag_position(child_bag, ntd.payloads[t])
-            low = _POW5[pos]
-            high = _POW5[pos + 1]
-            base = (s // low) * high + s % low
-            for d in range(5):
-                c = base + d * low
-                if tables[child][c] == value:
-                    stack.append((child, c))
+        # forget and introduce nodes have one child, so the trace follows
+        # each chain without going through the stack
+        while True:
+            kind = kinds[t]
+            if kind == LEAF:
+                if s == 3:
+                    chosen.add(payloads[t])
+                break
+            if kind == FORGET:
+                child = children[t][0]
+                pos = _bag_position(bags[child], payloads[t])
+                low = _POW5[pos]
+                base = (s // low) * (5 * low) + s % low
+                value = tables[t][s]
+                ct = tables[child]
+                for d in range(5):
+                    c = base + d * low
+                    if ct[c] == value:
+                        break
+                else:
+                    raise RuntimeError("inconsistent forget table")
+                t, s = child, c
+                continue
+            if kind == INTRODUCE:
+                bag = bags[t]
+                v = payloads[t]
+                cidx, add, _ = _intro_entry(
+                    len(bag), _bag_position(bag, v), _nbr_mask(bag, v, adj[v])
+                )
+                c = cidx[s]
+                if c < 0:
+                    raise RuntimeError("inconsistent introduce table")
+                if add[s]:
+                    chosen.add(v)
+                t, s = children[t][0], c
+                continue
+            left, right = children[t]
+            value = tables[t][s]
+            card, pairs = _join_pairs(len(bags[t]), _join_adj_masks(ntd, t, g), s)
+            for s1, s2 in pairs:
+                a = tables[left][s1]
+                b = tables[right][s2]
+                if a >= 0 and b >= 0 and a + b - card == value:
+                    stack.append((left, s1))
+                    stack.append((right, s2))
                     break
             else:
-                raise RuntimeError("inconsistent forget table")
-            continue
-        if kind == INTRODUCE:
-            size, pos, mask = _intro_signature(ntd, t, g)
-            cidx, add = _intro_program(size, pos, mask)
-            c = cidx[s]
-            if c < 0:
-                raise RuntimeError("inconsistent introduce table")
-            if add[s]:
-                chosen.add(ntd.payloads[t])
-            stack.append((ntd.children[t][0], c))
-            continue
-        left, right = ntd.children[t]
-        size = len(ntd.bags[t])
-        card, pairs = _join_splits(s, size, _join_adj_masks(ntd, t, g))
-        for s1, s2 in pairs:
-            a = tables[left][s1]
-            b = tables[right][s2]
-            if a >= 0 and b >= 0 and a + b - card == value:
-                stack.append((left, s1))
-                stack.append((right, s2))
-                break
-        else:
-            raise RuntimeError("inconsistent join table")
+                raise RuntimeError("inconsistent join table")
+            break
     return frozenset(chosen)
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tnpack
 from tnpack.cli import main
 from tnpack.graph import read_graph, write_graph
 from tnpack.instances import cycle, empty, path, random_tree
@@ -91,6 +96,42 @@ class TestSolve:
         _, first, _ = run_cli(capsys, "solve", p6, "--method", "dp")
         _, second, _ = run_cli(capsys, "solve", p6, "--method", "dp")
         assert report(first) == report(second)
+
+
+def fresh_process_report(*args) -> tuple[int, dict]:
+    src = str(Path(tnpack.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "tnpack.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, report(done.stdout)
+
+
+class TestRepeatedCalls:
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path):
+        graph = tmp_path / "g.gr"
+        graph.write_text(write_graph(cycle(7)))
+        witness = tmp_path / "w.json"
+        calls = [
+            ("solve", str(graph), "--method", "brute", "--witness-out", str(witness)),
+            ("solve", str(graph)),
+            ("duality-report", str(graph)),
+        ]
+        fresh = [fresh_process_report(*argv) for argv in calls]
+        fresh_witness = witness.read_text()
+        witness.unlink()
+        for _ in range(2):
+            for argv, (fresh_code, fresh_report) in zip(calls, fresh):
+                code, out, _ = run_cli(capsys, *argv)
+                assert (code, report(out)) == (fresh_code, fresh_report)
+                if "--witness-out" in argv:
+                    assert witness.read_text() == fresh_witness
+                    witness.unlink()
+                else:
+                    assert not witness.exists()
+        assert [r.get("method") for _, r in fresh] == ["brute", "dp", "brute"]
 
 
 class TestDualityReport:

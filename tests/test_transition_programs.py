@@ -1,0 +1,242 @@
+"""The vectorized transition-program builders against the per-state
+enumeration they replaced, and witnesses pinned across the rewrite."""
+
+import random
+
+import numpy as np
+import pytest
+
+import tnpack.treewidth as tw
+from tnpack.decomposition import JOIN, TreeDecomposition, decompose_heuristic, make_nice
+from tnpack.graph import Graph
+from tnpack.instances import k_c4, random_graph, star
+
+
+# -- reference oracle: one state at a time, in plain Python ------------------
+
+
+def state_digits(s, size):
+    digits = []
+    for _ in range(size):
+        digits.append(s % 5)
+        s //= 5
+    return digits
+
+
+def oracle_intro_program(size, pos, nbr_mask):
+    table = 5**size
+    cidx = [tw.NEG] * table
+    add = [0] * table
+    for s in range(table):
+        digits = state_digits(s, size)
+        d = digits[pos]
+        rest = digits[:pos] + digits[pos + 1 :]
+        in_b = d >= 3
+        count_v = d - 2 if in_b else d
+        nb = (1 if in_b else 0) + sum(
+            1 for q, dq in enumerate(rest) if (nbr_mask >> q) & 1 and dq >= 3
+        )
+        if count_v != nb:
+            continue
+        child_digits = list(rest)
+        if in_b:
+            ok = True
+            for q, dq in enumerate(rest):
+                if (nbr_mask >> q) & 1:
+                    if dq in (0, 3):
+                        ok = False
+                        break
+                    child_digits[q] = dq - 1
+            if not ok:
+                continue
+        c = 0
+        for q in range(size - 2, -1, -1):
+            c = c * 5 + child_digits[q]
+        cidx[s] = c
+        add[s] = 1 if in_b else 0
+    return cidx, add
+
+
+def oracle_join_splits(s, size, adj_masks):
+    """|B| and all (left, right) splits of state s, in canonical order."""
+    digits = state_digits(s, size)
+    b_mask = 0
+    for q, d in enumerate(digits):
+        if d >= 3:
+            b_mask |= 1 << q
+    options = []
+    for q, d in enumerate(digits):
+        in_b = d >= 3
+        count = d - 2 if in_b else d
+        target = count + (1 if in_b else 0) + (adj_masks[q] & b_mask).bit_count()
+        lo = 1 if in_b else 0
+        opts = []
+        for f1 in range(lo, 3):
+            f2 = target - f1
+            if lo <= f2 <= 2:
+                opts.append((f1 + 2 if in_b else f1, f2 + 2 if in_b else f2))
+        if not opts:
+            return b_mask.bit_count(), []
+        options.append(opts)
+    pairs = [(0, 0)]
+    for q, opts in enumerate(options):
+        mul = 5**q
+        pairs = [(s1 + d1 * mul, s2 + d2 * mul) for s1, s2 in pairs for d1, d2 in opts]
+    return b_mask.bit_count(), pairs
+
+
+def oracle_join_program(size, adj_masks):
+    idx1, idx2, target = [], [], []
+    bcard = [0] * 5**size
+    for s in range(5**size):
+        card, pairs = oracle_join_splits(s, size, adj_masks)
+        bcard[s] = card
+        for s1, s2 in pairs:
+            idx1.append(s1)
+            idx2.append(s2)
+            target.append(s)
+    tgt = np.asarray(target, dtype=np.int64)
+    order = np.argsort(tgt, kind="stable")
+    sorted_tgt = tgt[order]
+    starts = np.flatnonzero(np.r_[True, sorted_tgt[1:] != sorted_tgt[:-1]])
+    return (
+        np.asarray(idx1, dtype=np.int64)[order],
+        np.asarray(idx2, dtype=np.int64)[order],
+        starts,
+        sorted_tgt[starts],
+        bcard,
+    )
+
+
+def symmetric_masks(size, edges):
+    masks = [0] * size
+    for i, j in edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return tuple(masks)
+
+
+def all_symmetric_masks(size):
+    slots = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    for pick in range(1 << len(slots)):
+        yield symmetric_masks(size, [e for k, e in enumerate(slots) if (pick >> k) & 1])
+
+
+def seeded_masks(size, count, seed):
+    rng = random.Random(seed)
+    slots = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    for _ in range(count):
+        yield symmetric_masks(size, [e for e in slots if rng.random() < 0.5])
+
+
+# -- program equivalence ------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    for name in ("_intro_cache", "_join_py_cache", "_join_np_cache"):
+        monkeypatch.setattr(tw, name, {})
+
+
+def assert_join_matches(size, adj_masks, monkeypatch):
+    expected = oracle_join_program(size, adj_masks)
+    built = tw._build_join_program(size, adj_masks)
+    for want, got in zip(expected[:4], built[:4]):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert built[4] == expected[4]
+    per_state = [oracle_join_splits(s, size, adj_masks) for s in range(5**size)]
+    assert tw._join_py_program(size, adj_masks) == per_state
+    # the trace reads splits from whichever program evaluates the join
+    for threshold in (tw._JOIN_NUMPY_MIN_SIZE, 1):
+        monkeypatch.setattr(tw, "_JOIN_NUMPY_MIN_SIZE", threshold)
+        for s in range(0, 5**size, 7):
+            assert tw._join_pairs(size, adj_masks, s) == per_state[s]
+
+
+def test_intro_program_every_signature(fresh_caches):
+    checked = 0
+    for size in range(1, 6):
+        for pos in range(size):
+            for mask in range(1 << (size - 1)):
+                assert tw._intro_program(size, pos, mask) == oracle_intro_program(
+                    size, pos, mask
+                )
+                checked += 1
+    assert checked == 129
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_join_program_every_symmetric_adjacency(size, fresh_caches, monkeypatch):
+    for adj_masks in all_symmetric_masks(size):
+        assert_join_matches(size, adj_masks, monkeypatch)
+
+
+@pytest.mark.parametrize("size,count,seed", [(4, 6, 4004), (5, 3, 5005)])
+def test_join_program_seeded_adjacencies(size, count, seed, fresh_caches, monkeypatch):
+    for adj_masks in seeded_masks(size, count, seed):
+        assert_join_matches(size, adj_masks, monkeypatch)
+
+
+# -- witnesses ---------------------------------------------------------------
+
+
+def centre_bag_star3():
+    """star(3) with a decomposition whose centre bag is {0}: joins on one
+    vertex."""
+    tree = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    return TreeDecomposition(4, tree, [{0}, {0, 1}, {0, 2}, {0, 3}])
+
+
+SIX = Graph(
+    6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (4, 5)]
+)
+
+# witnesses of the per-state program builders, recorded before the rewrite
+PINNED = [
+    ("star3", star(3), None, [1, 2]),
+    ("star3-centre-bag", star(3), centre_bag_star3(), [2, 3]),
+    ("six", SIX, None, [3, 4, 5]),
+    ("kc4-3", k_c4(3).graph, None, [0, 3, 5, 6, 9, 10]),
+    ("random-13", random_graph(13, 0.3, 4), None, [0, 3, 8, 10, 12]),
+]
+
+
+def join_bag_sizes(ntd):
+    return {len(ntd.bags[t]) for t in range(ntd.node_count) if ntd.kinds[t] == JOIN}
+
+
+def test_pinned_witnesses_cover_join_sizes():
+    sizes = set()
+    for _, g, td, _ in PINNED:
+        if td is None:
+            td = decompose_heuristic(g)
+        sizes |= join_bag_sizes(make_nice(td, g))
+    assert {1, 2, 3, 4, 5} <= sizes
+    assert decompose_heuristic(PINNED[-1][1]).width == 4
+
+
+@pytest.mark.parametrize("name,g,td,witness", PINNED, ids=[p[0] for p in PINNED])
+def test_witness_unchanged(name, g, td, witness, fresh_caches):
+    assert sorted(tw.solve(g, td=td).witness) == witness
+
+
+def test_trace_takes_first_optimal_split(fresh_caches, monkeypatch):
+    # every finite entry of every join traces to the same packing as with
+    # the oracle's split lists
+    g = PINNED[-1][1]
+    ntd = make_nice(decompose_heuristic(g), g)
+    tables = tw.compute_tables(g, ntd)
+    entries = [
+        (t, s)
+        for t in range(ntd.node_count)
+        if ntd.kinds[t] == JOIN
+        for s in [i for i, x in enumerate(tables[t]) if x >= 0][:25]
+    ]
+    assert {len(ntd.bags[t]) for t, _ in entries} >= {4, 5}
+    actual = [tw.trace_entry(g, ntd, tables, t, s) for t, s in entries]
+    monkeypatch.setattr(
+        tw, "_join_pairs", lambda size, adj_masks, s: oracle_join_splits(s, size, adj_masks)
+    )
+    expected = [tw.trace_entry(g, ntd, tables, t, s) for t, s in entries]
+    assert actual == expected
