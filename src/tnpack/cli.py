@@ -69,13 +69,19 @@ def cmd_solve(args) -> int:
         report["value"] = result.value
         report["witness"] = sorted(witness)
     else:
-        if not (g.is_forest() and g.is_connected() and g.n >= 1):
-            raise PreconditionError("tree method needs a connected acyclic graph")
-        cert = certify_tree(RootedTree(g, args.root))
+        try:
+            tree = RootedTree(g, args.root)
+        except ValueError:
+            # RootedTree checks the root before tree-ness; a graph that is
+            # not a tree is reported as such, whatever the root
+            if not (g.n >= 1 and g.m == g.n - 1 and g.is_connected()):
+                raise PreconditionError("tree method needs a connected acyclic graph") from None
+            raise
+        cert = certify_tree(tree)
         verified = cert.verified
         report["value"] = cert.value
         report["witness"] = sorted(cert.packing)
-        report["certificate"] = json.loads(cert.to_json())
+        report["certificate"] = cert.to_dict()
     report["verified"] = verified
     report["time_ms"] = round(1000 * (time.perf_counter() - started), 3)
     if args.witness_out:
@@ -91,7 +97,7 @@ def cmd_duality_report(args) -> int:
     g = _load_graph(args.graph)
     started = time.perf_counter()
     report = {"instance": _instance_info(args.graph, g)}
-    if g.n >= 1 and g.is_forest() and g.is_connected():
+    if g.n >= 1 and g.m == g.n - 1 and g.is_connected():
         cert = certify_tree(RootedTree(g, 0))
         roman_value, roman_witness = cert.value, cert.rdf
         tnp_value, packing = cert.value, cert.packing

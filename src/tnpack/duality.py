@@ -51,18 +51,19 @@ class DualityCertificate:
     packing: VertexSet
     verified: bool
 
+    def to_dict(self) -> dict:
+        """The JSON payload of to_json as a plain dict."""
+        return {
+            "n": self.n,
+            "root": self.root,
+            "gamma_R": self.value,
+            "rdf": list(self.rdf.labels),
+            "packing": sorted(self.packing),
+            "verified": self.verified,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "root": self.root,
-                "gamma_R": self.value,
-                "rdf": list(self.rdf.labels),
-                "packing": sorted(self.packing),
-                "verified": self.verified,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def roman_tree_dp(tree: RootedTree) -> SolveResult:
@@ -337,14 +338,18 @@ class _Normalizer:
 
 
 def normalize_rdf(tree: RootedTree, f: RomanFunction, debug: bool = False) -> RomanFunction:
-    """Rewrite a minimum Roman function until the four subtree properties
-    checked by check_normalized_rdf hold everywhere; the weight is unchanged.
+    """Rewrite a minimum Roman function until the subtree properties checked
+    by check_normalized_rdf hold everywhere; the weight is unchanged.
 
     Bottom-up passes repeat until one applies no rewrite; a rewrite high in
     the tree can re-expose a lower vertex, but the rewrite potential proves
-    this terminates. Raises PreconditionError when f is not Roman dominating
-    or not of minimum weight (checked against the tree DP, so large trees
-    stay cheap).
+    this terminates.
+
+    Checks on the input, each raising PreconditionError: one entry per
+    vertex, Roman domination, and minimum weight (against one run of the
+    tree DP, so large trees stay cheap). Checks on the result, each raising
+    RuntimeError: same weight, Roman domination, and no violation left by
+    check_normalized_rdf.
     """
     g = tree.graph
     if len(f.labels) != g.n:
@@ -356,11 +361,17 @@ def normalize_rdf(tree: RootedTree, f: RomanFunction, debug: bool = False) -> Ro
         raise PreconditionError(
             f"input has weight {f.weight}, minimum is {optimum}"
         )
+    return _normalize(tree, f, optimum, debug)
+
+
+def _normalize(tree: RootedTree, f: RomanFunction, optimum: int, debug: bool) -> RomanFunction:
+    """Worker of normalize_rdf for an input known to be a Roman function of
+    weight ``optimum``: rewrites it, then checks the result once."""
     normalizer = _Normalizer(tree, list(f.labels), debug)
     while normalizer.run():
         pass
     result = RomanFunction(tuple(normalizer.labels))
-    if result.weight != optimum or not is_roman_dominating(g, result):
+    if result.weight != optimum or not is_roman_dominating(tree.graph, result):
         raise RuntimeError("normalization changed the weight or broke domination")
     remaining = check_normalized_rdf(tree, result)
     if remaining:
@@ -436,13 +447,27 @@ def check_normalized_rdf(tree: RootedTree, f: RomanFunction) -> list[Normalizati
 def build_packing(tree: RootedTree, f: RomanFunction) -> VertexSet:
     """Packing of size weight(f) from a normalized minimum Roman function:
     every 1-labelled vertex, plus two private neighbours from each 2-labelled
-    vertex's subtree part, children preferred over the vertex itself."""
+    vertex's subtree part, children preferred over the vertex itself.
+
+    Raises PreconditionError when check_normalized_rdf finds a violation in
+    f, and RuntimeError when the constructed set selects a vertex twice, has
+    a size other than weight(f) or is not a two-neighbour packing.
+    """
     problems = check_normalized_rdf(tree, f)
     if problems:
         first = problems[0]
         raise PreconditionError(
             f"labelling violates property ({first.property_id}) at vertex {first.vertex}"
         )
+    packing = _packing(tree, f)
+    if len(packing) != f.weight or not is_two_neighbour_packing(tree.graph, packing):
+        raise RuntimeError("constructed set is not a packing of the right size")
+    return packing
+
+
+def _packing(tree: RootedTree, f: RomanFunction) -> VertexSet:
+    """Worker of build_packing for a labelling that passes
+    check_normalized_rdf; the caller checks the result."""
     g = tree.graph
     labels = f.labels
     two_cover = [0] * g.n
@@ -462,21 +487,23 @@ def build_packing(tree: RootedTree, f: RomanFunction) -> VertexSet:
             if u in chosen:
                 raise RuntimeError(f"vertex {u} selected twice while building the packing")
             chosen.add(u)
-    if len(chosen) != f.weight or not is_two_neighbour_packing(g, chosen):
-        raise RuntimeError("constructed set is not a packing of the right size")
     return frozenset(chosen)
 
 
 def certify_tree(tree: RootedTree) -> DualityCertificate:
-    """End-to-end certificate that the two optima agree on this tree."""
+    """End-to-end certificate that the two optima agree on this tree.
+
+    One tree DP gives the optimum and a minimum Roman function, which the DP
+    checks for Roman domination. Normalization then checks its result once
+    (weight, Roman domination, check_normalized_rdf) and raises RuntimeError
+    on a failure, as normalize_rdf does. The packing built from it is
+    checked once as a two-neighbour packing; ``verified`` holds when that
+    check passes and its size equals the DP optimum.
+    """
     dp = roman_tree_dp(tree)
-    f = normalize_rdf(tree, dp.witness)
-    packing = build_packing(tree, f)
-    verified = (
-        is_roman_dominating(tree.graph, f)
-        and is_two_neighbour_packing(tree.graph, packing)
-        and f.weight == len(packing) == dp.value
-    )
+    f = _normalize(tree, dp.witness, dp.value, debug=False)
+    packing = _packing(tree, f)
+    verified = len(packing) == dp.value and is_two_neighbour_packing(tree.graph, packing)
     return DualityCertificate(
         n=tree.graph.n,
         root=tree.root,

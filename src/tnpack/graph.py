@@ -172,7 +172,13 @@ def disjoint_union(graphs: Sequence[Graph]) -> tuple[Graph, list[int]]:
 
 
 class RootedTree:
-    """A tree graph with a designated root, parent/children arrays and post-order."""
+    """A tree graph with a designated root, parent/children arrays and post-order.
+
+    Raises ValueError, in this order, for an empty graph, a root out of
+    range, and a graph that is not a tree. Tree-ness is decided by
+    m == n - 1 and by the rooting BFS reaching all n vertices, so the
+    constructor makes one traversal.
+    """
 
     __slots__ = ("graph", "root", "parent", "children", "postorder")
 
@@ -181,7 +187,7 @@ class RootedTree:
             raise ValueError("cannot root an empty graph")
         if not 0 <= root < graph.n:
             raise ValueError(f"root {root} out of range for n={graph.n}")
-        if graph.m != graph.n - 1 or not graph.is_connected():
+        if graph.m != graph.n - 1:
             raise ValueError("input graph is not a tree")
         parent = [-1] * graph.n
         children: list[list[int]] = [[] for _ in range(graph.n)]
@@ -198,6 +204,9 @@ class RootedTree:
                     parent[u] = v
                     children[v].append(u)
                     queue.append(u)
+        # with m == n - 1 edges, reaching every vertex means connected and acyclic
+        if len(order) != graph.n:
+            raise ValueError("input graph is not a tree")
         self.graph = graph
         self.root = root
         self.parent = tuple(parent)
@@ -214,7 +223,15 @@ class RootedTree:
 
 
 def read_graph(text: str) -> Graph:
-    """Parse a PACE-style .gr file: 'p tw n m' header, 1-indexed edge lines."""
+    """Parse a PACE-style .gr file: 'p tw n m' header, 1-indexed edge lines.
+
+    Checks, each raising ParseError: one well-formed header before any edge
+    line, well-formed integer edge lines, vertex ids in 1..n, no self-loops,
+    no duplicate edges, and an edge count equal to the header's. These are
+    all the checks Graph's constructor makes, so the graph is built from the
+    checked edges without repeating them; nothing of size n is allocated
+    before the edge count has been checked.
+    """
     n = None
     m_declared = 0
     edges: list[tuple[int, int]] = []
@@ -257,7 +274,11 @@ def read_graph(text: str) -> Graph:
         raise ParseError("missing 'p tw n m' header")
     if len(edges) != m_declared:
         raise ParseError(f"header declares {m_declared} edges but {len(edges)} found")
-    return Graph(n, edges)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph._trusted(n, tuple(tuple(sorted(a)) for a in adj), len(edges))
 
 
 def write_graph(g: Graph) -> str:

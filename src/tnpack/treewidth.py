@@ -543,9 +543,13 @@ def solve(
             raise RuntimeError("root table has no feasible entry")
         state = root_table.index(value)
         witness = trace_entry(g, ntd, tables, ntd.root, state)
+        node_count = ntd.node_count
     finally:
+        # free the tables and the decomposition while the collector is
+        # still off, so that its first sweep does not walk them
+        tables = root_table = ntd = base = None
         if gc_was_enabled:
             gc.enable()
     if len(witness) != value or not is_two_neighbour_packing(g, witness):
         raise RuntimeError("dynamic program produced an invalid witness")
-    return SolveResult(value, witness, ntd.node_count)
+    return SolveResult(value, witness, node_count)

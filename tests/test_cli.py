@@ -8,7 +8,8 @@ import pytest
 
 import tnpack
 from tnpack.cli import main
-from tnpack.graph import read_graph, write_graph
+from tnpack.duality import certify_tree
+from tnpack.graph import Graph, RootedTree, read_graph, write_graph
 from tnpack.instances import cycle, empty, path, random_tree
 
 
@@ -60,6 +61,29 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(f), "--method", "tree")
         assert code == 3
         assert "acyclic" in err
+
+    def test_tree_method_rejects_cycle_with_tree_edge_count(self, capsys, tmp_path):
+        f = tmp_path / "triangle_plus_one.gr"
+        f.write_text(write_graph(Graph(4, [(0, 1), (1, 2), (0, 2)])))
+        code, out, err = run_cli(capsys, "solve", str(f), "--method", "tree")
+        assert code == 3 and out == ""
+        assert "acyclic" in err
+        code, _, err = run_cli(capsys, "solve", str(f), "--method", "tree", "--root", "99")
+        assert code == 3 and "acyclic" in err
+
+    def test_tree_method_root_out_of_range(self, capsys, p6):
+        code, out, err = run_cli(capsys, "solve", p6, "--method", "tree", "--root", "99")
+        assert code == 3 and out == ""
+        assert "out of range" in err
+
+    def test_tree_certificate_matches_to_json(self, capsys, tmp_path, p6):
+        seeded = tmp_path / "t.gr"
+        seeded.write_text(write_graph(random_tree(40, seed=9)))
+        for file in (p6, str(seeded)):
+            code, out, _ = run_cli(capsys, "solve", file, "--method", "tree")
+            assert code == 0
+            cert = certify_tree(RootedTree(read_graph(Path(file).read_text())))
+            assert report(out)["certificate"] == json.loads(cert.to_json())
 
     def test_parse_failure_exit_code(self, capsys, tmp_path):
         f = tmp_path / "bad.gr"
@@ -152,6 +176,14 @@ class TestDualityReport:
         assert code == 0
         data = report(out)
         assert data["gap"] == 0 and data["method"] == "tree"
+
+    def test_cycle_with_tree_edge_count_uses_brute(self, capsys, tmp_path):
+        f = tmp_path / "triangle_plus_one.gr"
+        f.write_text(write_graph(Graph(4, [(0, 1), (1, 2), (0, 2)])))
+        code, out, _ = run_cli(capsys, "duality-report", str(f))
+        assert code == 0
+        data = report(out)
+        assert data["method"] == "brute" and data["verified"] is True
 
     def test_k24(self, capsys, tmp_path):
         code, _, _ = run_cli(

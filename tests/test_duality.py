@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import tnpack.duality
 from tnpack.duality import (
     _Normalizer,
     build_packing,
@@ -205,6 +206,36 @@ class TestCertifyTree:
             "packing": sorted(cert.packing),
             "verified": True,
         }
+
+    def test_one_dp_and_one_check_per_witness(self, monkeypatch):
+        counted = (
+            "roman_tree_dp",
+            "is_roman_dominating",
+            "check_normalized_rdf",
+            "is_two_neighbour_packing",
+        )
+        calls = dict.fromkeys(counted, 0)
+
+        def counting(name):
+            fn = getattr(tnpack.duality, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in counted:
+            monkeypatch.setattr(tnpack.duality, name, counting(name))
+        for g in (path(7), random_tree(60, seed=31)):
+            calls.update(dict.fromkeys(counted, 0))
+            assert certify_tree(RootedTree(g)).verified
+            assert calls == {
+                "roman_tree_dp": 1,
+                "is_roman_dominating": 2,
+                "check_normalized_rdf": 1,
+                "is_two_neighbour_packing": 1,
+            }
 
     def test_selected_privates_distinct(self, tree_suite):
         # |packing| equals the weight, so no private neighbour was reused

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from tnpack.errors import ParseError
@@ -11,7 +13,7 @@ from tnpack.graph import (
     read_graph,
     write_graph,
 )
-from tnpack.instances import complete, cycle, path, random_graph
+from tnpack.instances import complete, cycle, path, random_graph, random_tree
 
 
 class TestGraphConstruction:
@@ -153,10 +155,22 @@ class TestGrFormat:
             read_graph("c x\np tw 2 1\n1 3\n")
 
     def test_round_trip_random(self):
-        for i in range(100):
-            n = 1 + (i * 13) % 50
-            g = random_graph(n, 0.2, seed=4000 + i)
-            assert read_graph(write_graph(g)) == g
+        graphs = [random_graph(1 + (i * 13) % 50, 0.2, seed=4000 + i) for i in range(100)]
+        graphs += [random_tree(1 + (i * 17) % 60, seed=4200 + i) for i in range(40)]
+        for g in graphs:
+            h = read_graph(write_graph(g))
+            # Graph.__eq__ ignores m, so compare the fields one by one
+            assert (h.n, h.m, h.adj) == (g.n, g.m, g.adj)
+
+    def test_lying_header_allocates_nothing_of_size_n(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="declares 1 edges but 0 found"):
+                read_graph("p tw 2000000 1\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestRootedTree:
@@ -167,6 +181,17 @@ class TestRootedTree:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError, match="not a tree"):
             RootedTree(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_rejects_tree_edge_count_with_cycle(self):
+        # triangle plus an isolated vertex: m == n - 1, yet not a tree
+        g = Graph(4, [(0, 1), (1, 2), (0, 2)])
+        for root in range(4):
+            with pytest.raises(ValueError, match="not a tree"):
+                RootedTree(g, root)
+
+    def test_root_checked_before_tree_shape(self):
+        with pytest.raises(ValueError, match="out of range"):
+            RootedTree(cycle(3), 5)
 
     def test_parent_and_postorder(self):
         t = RootedTree(path(5), root=2)

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from tnpack.decomposition import JOIN, decompose_heuristic, decompose_tree, make_nice
@@ -247,6 +249,19 @@ class TestSolve:
         ntd = nice_for(path(4))
         with pytest.raises(PreconditionError, match="invalid"):
             solve(cycle(4), ntd=ntd)
+
+    def test_restores_collector_state(self):
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                assert solve(random_tree(40, seed=3)).value > 0
+                assert gc.isenabled() is enabled
+                with pytest.raises(PreconditionError, match="n="):
+                    solve(path(5), ntd=nice_for(path(4)))
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_accepts_user_decomposition(self):
         g = cycle(5)
