@@ -100,7 +100,7 @@ def decompose_tree(g: Graph) -> TreeDecomposition:
     for an edgeless graph."""
     if g.n == 0:
         raise ValueError("empty graph has no tree decomposition")
-    if not g.is_forest():
+    if g.m >= g.n:  # more edges than a forest on n vertices can have
         raise ValueError("input graph contains a cycle")
     bags: list[tuple[int, ...]] = []
     td_edges: list[tuple[int, int]] = []
@@ -135,6 +135,10 @@ def decompose_tree(g: Graph) -> TreeDecomposition:
                     td_edges.append((node, discovery_bag[v]))
                 stack.append(u)
         anchors.append(anchor)
+    # the search discovers n - c edges over c components, one per bag of
+    # two; the graph is a forest iff these are all of its edges
+    if g.m != g.n - len(anchors):
+        raise ValueError("input graph contains a cycle")
     td_edges.extend((anchors[i], anchors[i + 1]) for i in range(len(anchors) - 1))
     adj: list[list[int]] = [[] for _ in range(len(bags))]
     for a, b in td_edges:

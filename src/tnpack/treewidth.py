@@ -4,14 +4,27 @@ tree decomposition.
 Per bag vertex a state records whether the vertex is chosen and how many
 chosen vertices its closed neighbourhood contains so far; the admissible
 combinations are (out,0), (out,1), (out,2), (in,1), (in,2), encoded as digits
-0..4 of a base-5 index over the sorted bag. A node's table is a dense list of
-length 5**|bag| holding the best partial packing size per state, with -1 as
-the infeasible sentinel (every feasible entry is >= 0, and all arithmetic is
-guarded so the sentinel never mixes into sums).
+0..4 of a base-5 index over the sorted bag. A node's table maps each of the
+5**|bag| states to the best partial packing size, or to -1 (NEG) when the
+state is infeasible.
 
-Witnesses are reconstructed by one root-to-leaves trace that re-derives each
-argmax from the stored tables, which is equivalent to storing back-pointers
-but keeps the tables plain integer arrays.
+Taken up to an additive constant, the tables of a decomposition fall into
+few distinct shapes (a 100k-vertex random tree has about 310k nodes and a
+few hundred shapes), so the evaluator stores a shape id and an offset per
+node. A shape is a table shifted so that state 0 holds 0; state 0 (every
+bag vertex unchosen with count 0, the empty packing) is always feasible.
+Shapes mark infeasible states with -inf, which no shift can reach. A
+transition is a node kind, its signature and its child shape ids; each
+distinct transition is evaluated once per solve by the one rule of its kind,
+and the result is interned by content. Leaf, introduce and join rules keep
+state 0 at 0; a forget output is shifted back, and the shift goes into the
+node's offset. ``tables[t]`` on the result of compute_tables materializes
+node t's full table.
+
+Witnesses are reconstructed by one root-to-leaves trace. Its choices (the
+lowest forget digit, the first optimal join split in canonical order) do not
+depend on offsets, so each is derived once per (transition, state) from the
+shapes.
 """
 
 from __future__ import annotations
@@ -36,15 +49,21 @@ from .errors import PreconditionError
 from .graph import Graph
 from .oracles import SolveResult, is_two_neighbour_packing
 
-NEG = -1  # infeasible; strictly below any packing size
+NEG = -1  # infeasible entry of a materialized table
+# infeasible entry of a shape: below every entry, so max() needs no guard;
+# the rules keep this one object in every infeasible slot and test it by
+# identity before adding
+_GAP = float("-inf")
 
 _POW5 = tuple(5 ** i for i in range(28))
 
+_LEAF_SHAPE = (0, _GAP, _GAP, 1, _GAP)
+_LEAF_KEY = (LEAF,)
+
 # transition programs are built with numpy digit arithmetic and cached by
-# structural signature, not by node, so long chains (paths) reuse one
-# program; the numpy join cache is a FIFO capped since its arrays are large
-# (a 5-vertex bag's program holds tens of thousands of splits)
-_forget_cache: dict = {}
+# structural signature across solves; the numpy join cache is a FIFO capped
+# since its arrays are large (a 5-vertex bag's program holds tens of
+# thousands of splits)
 _intro_cache: dict = {}
 _join_py_cache: dict = {}
 _join_np_cache: dict = {}
@@ -85,18 +104,6 @@ def decode_state(bag, index) -> tuple[frozenset, dict[int, int]]:
         else:
             counts[v] = digit
     return frozenset(chosen), counts
-
-
-def _forget_program(child_size: int, pos: int) -> list[int]:
-    """Map from child state index to parent state index (digit at pos dropped)."""
-    key = (child_size, pos)
-    prog = _forget_cache.get(key)
-    if prog is None:
-        low = _POW5[pos]
-        high = _POW5[pos + 1]
-        prog = [(c // high) * low + c % low for c in range(_POW5[child_size])]
-        _forget_cache[key] = prog
-    return prog
 
 
 def _digit_array(size: int) -> np.ndarray:
@@ -238,14 +245,18 @@ def _bag_position(bag, v) -> int:
         raise ValueError(f"vertex {v} not in bag {bag}") from None
 
 
-def _nbr_mask(bag, v, nbrs) -> int:
-    """Bit q set when the q-th vertex of ``bag`` other than ``v`` is in
-    ``nbrs``: the neighbour mask of an introduce signature."""
+def _nbr_mask(bag, v, adj) -> int:
+    """Bit q set when the q-th vertex of ``bag`` other than ``v`` is a
+    neighbour of ``v``: the neighbour mask of an introduce signature.
+
+    Each test scans the shorter of the two adjacency tuples, so a vertex of
+    high degree costs no more per bag than a leaf."""
+    nbrs = adj[v]
     mask = 0
     q = 0
     for u in bag:
         if u != v:
-            if u in nbrs:
+            if (u in nbrs) if len(nbrs) <= len(adj[u]) else (v in adj[u]):
                 mask |= 1 << q
             q += 1
     return mask
@@ -254,27 +265,107 @@ def _nbr_mask(bag, v, nbrs) -> int:
 def _intro_signature(ntd: NiceTreeDecomposition, t: int, g: Graph):
     bag = ntd.bags[t]
     v = ntd.payloads[t]
-    return len(bag), _bag_position(bag, v), _nbr_mask(bag, v, g.adj[v])
+    return len(bag), _bag_position(bag, v), _nbr_mask(bag, v, g.adj)
 
 
 def _join_adj_masks(ntd: NiceTreeDecomposition, t: int, g: Graph) -> tuple[int, ...]:
+    """Per bag position, the mask of its neighbours' positions in the bag;
+    each pair is tested once, on the shorter adjacency tuple."""
     bag = ntd.bags[t]
-    masks = []
-    for u in bag:
-        m = 0
-        nbrs = set(g.adj[u])
-        for q, w in enumerate(bag):
-            if w != u and w in nbrs:
-                m |= 1 << q
-        masks.append(m)
+    adj = g.adj
+    masks = [0] * len(bag)
+    for i, u in enumerate(bag):
+        nbrs = adj[u]
+        for j in range(i + 1, len(bag)):
+            w = bag[j]
+            if (w in nbrs) if len(nbrs) <= len(adj[w]) else (u in adj[w]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
     return tuple(masks)
+
+
+def _forget_rule(ct, pos: int) -> list:
+    """Forget: per parent state, the best of the five child entries that
+    extend it by a digit at ``pos``."""
+    low = _POW5[pos]
+    if pos == 0:
+        return list(map(max, ct[0::5], ct[1::5], ct[2::5], ct[3::5], ct[4::5]))
+    high = 5 * low
+    if high == len(ct):
+        # the highest digit: the child entries with digit d form one slice in
+        # parent-state order
+        return list(
+            map(max, ct[:low], ct[low : 2 * low], ct[2 * low : 3 * low],
+                ct[3 * low : 4 * low], ct[4 * low :])
+        )
+    # the five extensions of a parent state sit on an arithmetic slice
+    return [
+        max(ct[h * high + l : h * high + l + high : low])
+        for h in range(len(ct) // high)
+        for l in range(low)
+    ]
+
+
+def _introduce_rule(ct, size: int, steps) -> list:
+    """Introduce: each feasible parent state carries its child entry over,
+    plus one when the new vertex is chosen."""
+    gap = _GAP
+    new = [gap] * _POW5[size]
+    for s, c, a in steps:
+        val = ct[c]
+        if val is not gap:
+            new[s] = val + a
+    return new
+
+
+def _join_rule(lt, rt, size: int, adj_masks: tuple[int, ...]) -> list:
+    """Join: per state, the best sum of child entries over all count splits,
+    minus the double-counted |B|."""
+    table = _POW5[size]
+    gap = _GAP
+    new = [gap] * table
+    if table >= _JOIN_NUMPY_MIN_SIZE:
+        idx1, idx2, starts, states, bcard = _join_np_program(size, adj_masks)
+        if len(idx1):
+            sums = np.asarray(lt, dtype=np.float64)[idx1] + np.asarray(rt, dtype=np.float64)[idx2]
+            best = np.maximum.reduceat(sums, starts)
+            feasible = best > gap
+            for s, val in zip(
+                states[feasible].tolist(), best[feasible].astype(np.int64).tolist()
+            ):
+                new[s] = val - bcard[s]
+        return new
+    for s, (card, pairs) in enumerate(_join_py_program(size, adj_masks)):
+        best = gap
+        for s1, s2 in pairs:
+            a = lt[s1]
+            if a is gap:
+                continue
+            b = rt[s2]
+            if b is not gap:
+                a += b
+                if a > best:
+                    best = a
+        if best is not gap:
+            new[s] = best - card
+    return new
+
+
+def _gapped(table) -> list:
+    """A materialized table with -inf in place of NEG."""
+    return [x if x >= 0 else _GAP for x in table]
+
+
+def _materialize(shape, offset: int) -> list[int]:
+    gap = _GAP
+    return [NEG if x is gap else x + offset for x in shape]
 
 
 def dp_leaf(ntd: NiceTreeDecomposition, t: int) -> list[int]:
     """Leaf table: empty packing, or the bag vertex alone with count 1."""
     if ntd.kinds[t] != LEAF:
         raise ValueError(f"node {t} is not a leaf")
-    return [0, NEG, NEG, 1, NEG]
+    return _materialize(_LEAF_SHAPE, 0)
 
 
 def dp_forget(ntd: NiceTreeDecomposition, t: int, child_table: list[int]) -> list[int]:
@@ -282,16 +373,9 @@ def dp_forget(ntd: NiceTreeDecomposition, t: int, child_table: list[int]) -> lis
     of the dropped vertex."""
     if ntd.kinds[t] != FORGET:
         raise ValueError(f"node {t} is not a forget node")
-    child = ntd.children[t][0]
-    child_bag = ntd.bags[child]
-    prog = _forget_program(len(child_bag), _bag_position(child_bag, ntd.payloads[t]))
-    new = [NEG] * _POW5[len(ntd.bags[t])]
-    for c, val in enumerate(child_table):
-        if val >= 0:
-            s = prog[c]
-            if val > new[s]:
-                new[s] = val
-    return new
+    child_bag = ntd.bags[ntd.children[t][0]]
+    pos = _bag_position(child_bag, ntd.payloads[t])
+    return _materialize(_forget_rule(_gapped(child_table), pos), 0)
 
 
 def dp_introduce(ntd: NiceTreeDecomposition, t: int, child_table: list[int], g: Graph) -> list[int]:
@@ -302,15 +386,8 @@ def dp_introduce(ntd: NiceTreeDecomposition, t: int, child_table: list[int], g: 
     if ntd.kinds[t] != INTRODUCE:
         raise ValueError(f"node {t} is not an introduce node")
     size, pos, mask = _intro_signature(ntd, t, g)
-    cidx, add = _intro_program(size, pos, mask)
-    new = [NEG] * _POW5[size]
-    for s in range(_POW5[size]):
-        c = cidx[s]
-        if c >= 0:
-            val = child_table[c]
-            if val >= 0:
-                new[s] = val + add[s]
-    return new
+    steps = _intro_entry(size, pos, mask)[2]
+    return _materialize(_introduce_rule(_gapped(child_table), size, steps), 0)
 
 
 def dp_join(
@@ -324,124 +401,164 @@ def dp_join(
     double-counted |B|."""
     if ntd.kinds[t] != JOIN:
         raise ValueError(f"node {t} is not a join node")
-    bag = ntd.bags[t]
-    size = len(bag)
-    adj_masks = _join_adj_masks(ntd, t, g)
-    table = _POW5[size]
-    if table >= _JOIN_NUMPY_MIN_SIZE:
-        idx1, idx2, starts, states, bcard = _join_np_program(size, adj_masks)
-        left = np.asarray(left_table, dtype=np.int64)
-        right = np.asarray(right_table, dtype=np.int64)
-        a = left[idx1]
-        b = right[idx2]
-        sums = a + b
-        sums[(a < 0) | (b < 0)] = -(1 << 40)
-        best = np.maximum.reduceat(sums, starts) if len(sums) else np.empty(0, dtype=np.int64)
-        new = [NEG] * table
-        for s, val in zip(states.tolist(), best.tolist()):
-            if val >= 0:
-                new[s] = val - bcard[s]
-        return new
-    prog = _join_py_program(size, adj_masks)
-    new = [NEG] * table
-    for s in range(table):
-        card, pairs = prog[s]
-        best = NEG
-        for s1, s2 in pairs:
-            a = left_table[s1]
-            if a < 0:
-                continue
-            b = right_table[s2]
-            if b >= 0 and a + b > best:
-                best = a + b
-        if best >= 0:
-            new[s] = best - card
-    return new
+    size = len(ntd.bags[t])
+    new = _join_rule(
+        _gapped(left_table), _gapped(right_table), size, _join_adj_masks(ntd, t, g)
+    )
+    return _materialize(new, 0)
 
 
-def compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> list[list[int]]:
-    """Evaluate the whole decomposition bottom-up; one table per node.
+def _transition(key: tuple, size: int, shapes: list, shape_ids: dict) -> tuple:
+    """Evaluate one transition on its child shapes: ``(key, shape id, shift,
+    introduce program or None)``, where the node's table is its shape plus
+    the children's offsets plus ``shift``."""
+    kind = key[0]
+    shift = 0
+    program = None
+    if kind == FORGET:
+        _, pos, child = key
+        out = _forget_rule(shapes[child], pos)
+        shift = out[0]
+        if shift:
+            gap = _GAP
+            out = [x if x is gap else x - shift for x in out]
+    elif kind == INTRODUCE:
+        _, pos, mask, child = key
+        program = _intro_entry(size, pos, mask)
+        out = _introduce_rule(shapes[child], size, program[2])
+    elif kind == LEAF:
+        out = _LEAF_SHAPE
+    else:
+        _, adj_masks, left, right = key
+        out = _join_rule(shapes[left], shapes[right], size, adj_masks)
+    shape = tuple(out)
+    # setdefault hashes the shape once, found or not
+    sid = shape_ids.setdefault(shape, len(shapes))
+    if sid == len(shapes):
+        shapes.append(shape)
+    return key, sid, shift, program
 
-    Forget and introduce dominate long chains, so their transitions are
-    inlined here; joins go through dp_join.
-    """
-    tables: list[list[int] | None] = [None] * ntd.node_count
+
+class DPTables:
+    """What compute_tables returns: per node a transition id, a shape id
+    and an offset; ``tables[t]`` materializes node t's table."""
+
+    __slots__ = ("shapes", "transitions", "node_transition", "node_shape", "offsets")
+
+    def __init__(self, shapes, transitions, node_transition, node_shape, offsets):
+        self.shapes = shapes
+        self.transitions = transitions
+        self.node_transition = node_transition
+        self.node_shape = node_shape
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, t: int) -> list[int]:
+        return _materialize(self.shape(t), self.offsets[t])
+
+    def shape(self, t: int) -> tuple:
+        return self.shapes[self.node_shape[t]]
+
+
+def compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> DPTables:
+    """Evaluate the whole decomposition bottom-up, each distinct transition
+    once."""
+    count = ntd.node_count
+    node_transition = [0] * count
+    node_shape = [0] * count
+    offsets = [0] * count
+    shapes: list[tuple] = []
+    shape_ids: dict[tuple, int] = {}
+    transitions: list[tuple] = []
+    transition_ids: dict[tuple, int] = {}
     kinds = ntd.kinds
     bags = ntd.bags
     payloads = ntd.payloads
     children = ntd.children
     adj = g.adj
-    pow5 = _POW5
-    intro_cache = _intro_cache
     for t in ntd.order:
         kind = kinds[t]
         if kind == FORGET:
             child = children[t][0]
-            cb = bags[child]
-            pos = cb.index(payloads[t])
-            low = pow5[pos]
-            ct = tables[child]
-            # max() over NEG entries is NEG. When the dropped digit is the
-            # lowest or the highest, the child entries with digit d form one
-            # slice in parent-state order, and the parent table is the
-            # elementwise max of the five slices.
-            if pos == 0:
-                tables[t] = list(map(max, ct[0::5], ct[1::5], ct[2::5], ct[3::5], ct[4::5]))
-            elif pos == len(cb) - 1:
-                tables[t] = list(
-                    map(max, ct[:low], ct[low : 2 * low], ct[2 * low : 3 * low],
-                        ct[3 * low : 4 * low], ct[4 * low :])
-                )
-            else:
-                # the five extensions of a parent state sit on an
-                # arithmetic slice of the child table
-                high = 5 * low
-                tables[t] = [
-                    max(ct[h * high + l : h * high + l + high : low])
-                    for h in range(pow5[len(cb) - 1] // low)
-                    for l in range(low)
-                ]
+            key = (FORGET, bags[child].index(payloads[t]), node_shape[child])
+            offset = offsets[child]
         elif kind == INTRODUCE:
             bag = bags[t]
             v = payloads[t]
+            # _nbr_mask, inlined: introduce nodes make up half of a chain
             nbrs = adj[v]
+            degree = len(nbrs)
             mask = 0
             q = 0
             for u in bag:
                 if u != v:
-                    if u in nbrs:
+                    if (u in nbrs) if degree <= len(adj[u]) else (v in adj[u]):
                         mask |= 1 << q
                     q += 1
-            key = (len(bag), bag.index(v), mask)
-            steps = (intro_cache.get(key) or _intro_entry(*key))[2]
-            ct = tables[children[t][0]]
-            new = [NEG] * pow5[len(bag)]
-            for s, c, a in steps:
-                val = ct[c]
-                if val >= 0:
-                    new[s] = val + a
-            tables[t] = new
+            child = children[t][0]
+            key = (INTRODUCE, bag.index(v), mask, node_shape[child])
+            offset = offsets[child]
         elif kind == LEAF:
-            tables[t] = [0, NEG, NEG, 1, NEG]
+            key = _LEAF_KEY
+            offset = 0
         else:
             left, right = children[t]
-            tables[t] = dp_join(ntd, t, tables[left], tables[right], g)
-    return tables  # type: ignore[return-value]
+            key = (JOIN, _join_adj_masks(ntd, t, g), node_shape[left], node_shape[right])
+            offset = offsets[left] + offsets[right]
+        tid = transition_ids.setdefault(key, len(transitions))
+        if tid == len(transitions):
+            transitions.append(_transition(key, len(bags[t]), shapes, shape_ids))
+        record = transitions[tid]
+        node_transition[t] = tid
+        node_shape[t] = record[1]
+        offsets[t] = offset + record[2]
+    return DPTables(shapes, transitions, node_transition, node_shape, offsets)
+
+
+def _pick(record: tuple, shapes: list, s: int):
+    """The trace's choice at a forget or join transition in state ``s``: the
+    child state with the lowest dropped digit, or the first (left, right)
+    split in canonical order, that attains the entry."""
+    key, sid, shift, _ = record
+    value = shapes[sid][s]
+    if key[0] == FORGET:
+        _, pos, child = key
+        ct = shapes[child]
+        target = value + shift
+        low = _POW5[pos]
+        base = (s // low) * (5 * low) + s % low
+        for c in range(base, base + 5 * low, low):
+            if ct[c] == target:
+                return c
+        raise RuntimeError("inconsistent forget table")
+    _, adj_masks, left, right = key
+    lt = shapes[left]
+    rt = shapes[right]
+    card, pairs = _join_pairs(len(adj_masks), adj_masks, s)
+    for s1, s2 in pairs:
+        if lt[s1] + rt[s2] - card == value:
+            return s1, s2
+    raise RuntimeError("inconsistent join table")
 
 
 def trace_entry(
-    g: Graph, ntd: NiceTreeDecomposition, tables: list[list[int]], node: int, state: int
+    g: Graph, ntd: NiceTreeDecomposition, tables: DPTables, node: int, state: int
 ) -> frozenset:
-    """Packing realizing a finite table entry, rebuilt by re-deriving each
-    decision top-down; deterministic (first candidate in canonical order)."""
-    if tables[node][state] < 0:
+    """Packing realizing a finite table entry, rebuilt top-down with one
+    derived choice per (transition, state); deterministic (first candidate
+    in canonical order)."""
+    shapes = tables.shapes
+    if shapes[tables.node_shape[node]][state] is _GAP:
         raise ValueError(f"entry {state} at node {node} is infeasible")
     chosen: set[int] = set()
     kinds = ntd.kinds
-    bags = ntd.bags
     payloads = ntd.payloads
     children = ntd.children
-    adj = g.adj
+    transitions = tables.transitions
+    node_transition = tables.node_transition
+    picks: dict[tuple[int, int], object] = {}
     stack = [(node, state)]
     while stack:
         t, s = stack.pop()
@@ -453,46 +570,25 @@ def trace_entry(
                 if s == 3:
                     chosen.add(payloads[t])
                 break
-            if kind == FORGET:
-                child = children[t][0]
-                pos = _bag_position(bags[child], payloads[t])
-                low = _POW5[pos]
-                base = (s // low) * (5 * low) + s % low
-                value = tables[t][s]
-                ct = tables[child]
-                for d in range(5):
-                    c = base + d * low
-                    if ct[c] == value:
-                        break
-                else:
-                    raise RuntimeError("inconsistent forget table")
-                t, s = child, c
-                continue
+            tid = node_transition[t]
             if kind == INTRODUCE:
-                bag = bags[t]
-                v = payloads[t]
-                cidx, add, _ = _intro_entry(
-                    len(bag), _bag_position(bag, v), _nbr_mask(bag, v, adj[v])
-                )
+                cidx, add, _ = transitions[tid][3]
                 c = cidx[s]
                 if c < 0:
                     raise RuntimeError("inconsistent introduce table")
                 if add[s]:
-                    chosen.add(v)
+                    chosen.add(payloads[t])
                 t, s = children[t][0], c
                 continue
+            pick = picks.get((tid, s))
+            if pick is None:
+                pick = picks[tid, s] = _pick(transitions[tid], shapes, s)
+            if kind == FORGET:
+                t, s = children[t][0], pick
+                continue
             left, right = children[t]
-            value = tables[t][s]
-            card, pairs = _join_pairs(len(bags[t]), _join_adj_masks(ntd, t, g), s)
-            for s1, s2 in pairs:
-                a = tables[left][s1]
-                b = tables[right][s2]
-                if a >= 0 and b >= 0 and a + b - card == value:
-                    stack.append((left, s1))
-                    stack.append((right, s2))
-                    break
-            else:
-                raise RuntimeError("inconsistent join table")
+            stack.append((left, pick[0]))
+            stack.append((right, pick[1]))
             break
     return frozenset(chosen)
 
@@ -537,17 +633,17 @@ def solve(
             if problems:
                 raise PreconditionError(f"invalid nice decomposition: {problems[0]}")
         tables = compute_tables(g, ntd)
-        root_table = tables[ntd.root]
-        value = max(root_table)
-        if value < 0:
-            raise RuntimeError("root table has no feasible entry")
-        state = root_table.index(value)
+        root_shape = tables.shape(ntd.root)
+        # state 0 of every shape holds 0, so the maximum is finite
+        best = max(root_shape)
+        state = root_shape.index(best)
+        value = best + tables.offsets[ntd.root]
         witness = trace_entry(g, ntd, tables, ntd.root, state)
         node_count = ntd.node_count
     finally:
         # free the tables and the decomposition while the collector is
         # still off, so that its first sweep does not walk them
-        tables = root_table = ntd = base = None
+        tables = root_shape = ntd = base = None
         if gc_was_enabled:
             gc.enable()
     if len(witness) != value or not is_two_neighbour_packing(g, witness):

@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 import tnpack
+from tnpack import cli, duality, treewidth
 from tnpack.cli import main
 from tnpack.duality import certify_tree
 from tnpack.graph import Graph, RootedTree, read_graph, write_graph
 from tnpack.instances import cycle, empty, path, random_tree
+from tnpack.oracles import is_two_neighbour_packing
 
 
 def run_cli(capsys, *args):
@@ -121,6 +123,27 @@ class TestSolve:
         _, second, _ = run_cli(capsys, "solve", p6, "--method", "dp")
         assert report(first) == report(second)
 
+    def test_dp_checks_its_witness_once(self, capsys, p6, monkeypatch):
+        checked = []
+
+        def counted(g, packing):
+            checked.append(sorted(packing))
+            return is_two_neighbour_packing(g, packing)
+
+        monkeypatch.setattr(cli, "is_two_neighbour_packing", counted)
+        monkeypatch.setattr(treewidth, "is_two_neighbour_packing", counted)
+        code, out, _ = run_cli(capsys, "solve", p6, "--method", "dp")
+        data = report(out)
+        assert code == 0 and data["verified"] is True
+        assert checked == [data["witness"]]
+
+    def test_dp_failed_witness_check_exits_1(self, capsys, p6, monkeypatch):
+        monkeypatch.setattr(treewidth, "is_two_neighbour_packing", lambda g, packing: False)
+        code, out, err = run_cli(capsys, "solve", p6, "--method", "dp")
+        assert code == 1
+        assert out == ""
+        assert "invalid witness" in err
+
 
 def fresh_process_report(*args) -> tuple[int, dict]:
     src = str(Path(tnpack.__file__).resolve().parents[1])
@@ -176,6 +199,19 @@ class TestDualityReport:
         assert code == 0
         data = report(out)
         assert data["gap"] == 0 and data["method"] == "tree"
+
+    def test_tree_route_trusts_the_certificate_checks(self, capsys, tmp_path, monkeypatch):
+        f = tmp_path / "t.gr"
+        f.write_text(write_graph(random_tree(17, seed=5)))
+        checked = []
+        for name in ("is_roman_dominating", "is_two_neighbour_packing"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: checked.append(name))
+        monkeypatch.setattr(duality, "is_two_neighbour_packing", lambda g, packing: False)
+        code, out, _ = run_cli(capsys, "duality-report", str(f))
+        data = report(out)
+        assert code == 1
+        assert data["method"] == "tree" and data["verified"] is False
+        assert checked == []
 
     def test_cycle_with_tree_edge_count_uses_brute(self, capsys, tmp_path):
         f = tmp_path / "triangle_plus_one.gr"

@@ -78,6 +78,96 @@ class TestDecomposeTree:
             assert td.width == (1 if g.m else 0)
 
 
+def reference_decompose_tree(g: Graph) -> TreeDecomposition:
+    """decompose_tree as it was with a separate is_forest pass, kept as the
+    reference for the forest test folded into its search."""
+    if g.n == 0:
+        raise ValueError("empty graph has no tree decomposition")
+    if not g.is_forest():
+        raise ValueError("input graph contains a cycle")
+    bags = []
+    td_edges = []
+    anchors = []
+    seen = [False] * g.n
+    discovery_bag = [-1] * g.n
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        if not g.adj[start]:
+            bags.append((start,))
+            anchors.append(len(bags) - 1)
+            continue
+        anchor = -1
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in reversed(g.adj[v]):
+                if seen[u]:
+                    continue
+                seen[u] = True
+                bags.append((v, u))
+                node = len(bags) - 1
+                discovery_bag[u] = node
+                if v == start:
+                    if anchor < 0:
+                        anchor = node
+                    else:
+                        td_edges.append((node, anchor))
+                else:
+                    td_edges.append((node, discovery_bag[v]))
+                stack.append(u)
+        anchors.append(anchor)
+    td_edges.extend((anchors[i], anchors[i + 1]) for i in range(len(anchors) - 1))
+    return TreeDecomposition(g.n, Graph(len(bags), td_edges), bags)
+
+
+def disjoint_union(*graphs: Graph, seed: int = 0) -> Graph:
+    """The graphs side by side, vertices relabelled by a seeded shuffle."""
+    import random
+
+    n = sum(h.n for h in graphs)
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    edges = []
+    base = 0
+    for h in graphs:
+        edges += [(label[base + u], label[base + v]) for u, v in h.edges()]
+        base += h.n
+    return Graph(n, edges)
+
+
+def forest_check_corpus() -> list[Graph]:
+    graphs = [cycle(n) for n in range(3, 12)]
+    for i in range(30):
+        trees = [random_tree(1 + (i * 7 + j * 13) % 25, seed=7100 + 5 * i + j) for j in range(3)]
+        isolated = [Graph(1)] * (i % 4)
+        graphs.append(disjoint_union(*trees, *isolated, seed=i))
+        # one cyclic component among trees and isolated vertices, with
+        # m <= n - 1 overall
+        graphs.append(disjoint_union(*trees, cycle(3 + i % 5), *isolated, Graph(i % 6), seed=i))
+    graphs += [Graph(5), Graph(6, [(0, 1), (3, 4)]), Graph(5, [(0, 1), (1, 2), (0, 2)])]
+    return graphs
+
+
+class TestDecomposeTreeMatchesReference:
+    def test_bags_edges_and_errors(self):
+        corpus = forest_check_corpus()
+        assert sum(g.is_forest() for g in corpus) >= 30
+        assert sum(not g.is_forest() and g.m < g.n for g in corpus) >= 30
+        for g in corpus:
+            try:
+                want = reference_decompose_tree(g)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    decompose_tree(g)
+                assert str(got.value) == str(exc)
+                continue
+            td = decompose_tree(g)
+            assert td.bags == want.bags
+            assert (td.tree.n, td.tree.m, td.tree.adj) == (want.tree.n, want.tree.m, want.tree.adj)
+
+
 class TestDecomposeHeuristic:
     def test_tree_width_one(self):
         td = decompose_heuristic(random_tree(30, seed=1))

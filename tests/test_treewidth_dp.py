@@ -210,7 +210,9 @@ class TestJoinRule:
             numpy_tables = compute_tables(g, ntd)
         finally:
             tw._JOIN_NUMPY_MIN_SIZE = old
-        assert tables == numpy_tables
+        materialized = [tables[t] for t in range(ntd.node_count)]
+        assert materialized == [numpy_tables[t] for t in range(ntd.node_count)]
+        assert all(type(x) is int for table in materialized for x in table)
 
 
 class TestSolve:
@@ -313,6 +315,19 @@ class TestScaling:
         n = 20000
         result = solve(path(n))
         assert result.value == (2 * n + 2) // 3
+
+    def test_high_degree_vertex_stays_linear(self):
+        # signature masks test adjacency on the shorter adjacency tuple;
+        # scanning the centre's 20k neighbours at every bag is quadratic
+        # (about 25 s on a 2-vCPU host)
+        import time
+
+        n = 20000
+        for centre in (0, n - 1):
+            g = Graph(n, [(centre, v) for v in range(n) if v != centre])
+            started = time.perf_counter()
+            assert solve(g).value == 2
+            assert time.perf_counter() - started < 5.0
 
     def test_random_trees_match_brute(self):
         for i in range(40):
