@@ -54,6 +54,16 @@ class TreeDecomposition:
         self.tree = tree
         self.bags = bags
 
+    @staticmethod
+    def _trusted(n: int, tree: Graph, bags) -> "TreeDecomposition":
+        # internal fast path for decompositions built here: the tree must be a
+        # tree with one node per bag and every bag vertex in range(n)
+        td = TreeDecomposition.__new__(TreeDecomposition)
+        td.n = n
+        td.tree = tree
+        td.bags = tuple(map(frozenset, bags))
+        return td
+
     @property
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
@@ -145,7 +155,7 @@ def decompose_tree(g: Graph) -> TreeDecomposition:
         adj[a].append(b)
         adj[b].append(a)
     tree = Graph._trusted(len(bags), tuple(tuple(sorted(a)) for a in adj), len(td_edges))
-    return TreeDecomposition(g.n, tree, bags)
+    return TreeDecomposition._trusted(g.n, tree, bags)
 
 
 def decompose_heuristic(g: Graph) -> TreeDecomposition:
@@ -202,7 +212,7 @@ def decompose_heuristic(g: Graph) -> TreeDecomposition:
         else:
             parent = step + 1
         td_edges.append((step, parent))
-    return TreeDecomposition(n, Graph(n, td_edges), bags)
+    return TreeDecomposition._trusted(n, Graph(n, td_edges), bags)
 
 
 class NiceTreeDecomposition:

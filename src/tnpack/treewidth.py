@@ -21,6 +21,10 @@ state 0 at 0; a forget output is shifted back, and the shift goes into the
 node's offset. ``tables[t]`` on the result of compute_tables materializes
 node t's full table.
 
+Every join is evaluated with numpy from one program per (bag size,
+adjacency) signature: all (left state, right state) splits of every state,
+grouped by state in canonical order. The trace reads the same program.
+
 Witnesses are reconstructed by one root-to-leaves trace. Its choices (the
 lowest forget digit, the first optimal join split in canonical order) do not
 depend on offsets, so each is derived once per (transition, state) from the
@@ -61,16 +65,16 @@ _LEAF_SHAPE = (0, _GAP, _GAP, 1, _GAP)
 _LEAF_KEY = (LEAF,)
 
 # transition programs are built with numpy digit arithmetic and cached by
-# structural signature across solves; the numpy join cache is a FIFO capped
-# since its arrays are large (a 5-vertex bag's program holds tens of
-# thousands of splits)
+# structural signature across solves. Introduce programs are small and kept
+# without bound. Join programs hold every split of every state (about 66k
+# for a 5-vertex bag), so their cache is a FIFO bounded by the bytes of its
+# arrays: 64 MiB holds about 220 five-vertex programs, more than the
+# distinct wide joins of a batch of small graphs. The newest program is kept
+# even when it alone exceeds the budget.
 _intro_cache: dict = {}
-_join_py_cache: dict = {}
-_join_np_cache: dict = {}
-_JOIN_NP_CACHE_MAX = 32
-# joins over tables of this many entries or more are evaluated with numpy:
-# 5**4 = 625, so bags of 5+ vertices; smaller bags keep per-state split lists
-_JOIN_NUMPY_MIN_SIZE = 626
+_join_cache: dict = {}
+_join_cache_bytes = 0
+_JOIN_CACHE_BYTES = 64 << 20
 
 
 def encode_state(bag, chosen, counts) -> int:
@@ -198,44 +202,46 @@ def _build_join_program(size: int, adj_masks: tuple[int, ...]):
     return idx1[order], idx2[order], starts, sorted_tgt[starts], bcard
 
 
-def _join_py_program(size: int, adj_masks: tuple[int, ...]):
-    """Per state: (|B|, list of (left state, right state) splits)."""
+def _join_program(size: int, adj_masks: tuple[int, ...]):
+    """The cached program of _build_join_program with compact arrays: state
+    indices as int16 while every state fits (bags of up to 6 vertices),
+    int32 above, and |B| per state as int8."""
+    global _join_cache_bytes
     key = (size, adj_masks)
-    prog = _join_py_cache.get(key)
+    prog = _join_cache.get(key)
     if prog is None:
         idx1, idx2, starts, states, bcard = _build_join_program(size, adj_masks)
-        prog = [(card, []) for card in bcard]
-        pairs = list(zip(idx1.tolist(), idx2.tolist()))
-        bounds = starts.tolist() + [len(pairs)]
-        for i, s in enumerate(states.tolist()):
-            prog[s] = (bcard[s], pairs[bounds[i] : bounds[i + 1]])
-        _join_py_cache[key] = prog
+        dtype = np.int16 if _POW5[size] <= 1 << 15 else np.int32
+        prog = (
+            idx1.astype(dtype),
+            idx2.astype(dtype),
+            starts,
+            states.astype(dtype),
+            np.asarray(bcard, dtype=np.int8),
+        )
+        nbytes = _program_bytes(prog)
+        while _join_cache and _join_cache_bytes + nbytes > _JOIN_CACHE_BYTES:
+            _join_cache_bytes -= _program_bytes(_join_cache.pop(next(iter(_join_cache))))
+        _join_cache[key] = prog
+        _join_cache_bytes += nbytes
     return prog
 
 
-def _join_np_program(size: int, adj_masks: tuple[int, ...]):
-    key = (size, adj_masks)
-    prog = _join_np_cache.get(key)
-    if prog is None:
-        if len(_join_np_cache) >= _JOIN_NP_CACHE_MAX:
-            _join_np_cache.pop(next(iter(_join_np_cache)))
-        prog = _build_join_program(size, adj_masks)
-        _join_np_cache[key] = prog
-    return prog
+def _program_bytes(prog) -> int:
+    return sum(a.nbytes for a in prog)
 
 
 def _join_pairs(size: int, adj_masks: tuple[int, ...], s: int):
     """|B| and the canonical (left state, right state) splits of state ``s``,
-    read from the program the evaluator uses for this join."""
-    if _POW5[size] < _JOIN_NUMPY_MIN_SIZE:
-        return _join_py_program(size, adj_masks)[s]
-    idx1, idx2, starts, states, bcard = _join_np_program(size, adj_masks)
+    read from the program the join rule evaluates."""
+    idx1, idx2, starts, states, bcard = _join_program(size, adj_masks)
+    card = int(bcard[s])
     i = int(np.searchsorted(states, s))
     if i == len(states) or states[i] != s:
-        return bcard[s], []
+        return card, []
     hi = starts[i + 1] if i + 1 < len(starts) else len(idx1)
     lo = starts[i]
-    return bcard[s], list(zip(idx1[lo:hi].tolist(), idx2[lo:hi].tolist()))
+    return card, list(zip(idx1[lo:hi].tolist(), idx2[lo:hi].tolist()))
 
 
 def _bag_position(bag, v) -> int:
@@ -321,33 +327,16 @@ def _introduce_rule(ct, size: int, steps) -> list:
 def _join_rule(lt, rt, size: int, adj_masks: tuple[int, ...]) -> list:
     """Join: per state, the best sum of child entries over all count splits,
     minus the double-counted |B|."""
-    table = _POW5[size]
+    idx1, idx2, starts, states, bcard = _join_program(size, adj_masks)
     gap = _GAP
-    new = [gap] * table
-    if table >= _JOIN_NUMPY_MIN_SIZE:
-        idx1, idx2, starts, states, bcard = _join_np_program(size, adj_masks)
-        if len(idx1):
-            sums = np.asarray(lt, dtype=np.float64)[idx1] + np.asarray(rt, dtype=np.float64)[idx2]
-            best = np.maximum.reduceat(sums, starts)
-            feasible = best > gap
-            for s, val in zip(
-                states[feasible].tolist(), best[feasible].astype(np.int64).tolist()
-            ):
-                new[s] = val - bcard[s]
-        return new
-    for s, (card, pairs) in enumerate(_join_py_program(size, adj_masks)):
-        best = gap
-        for s1, s2 in pairs:
-            a = lt[s1]
-            if a is gap:
-                continue
-            b = rt[s2]
-            if b is not gap:
-                a += b
-                if a > best:
-                    best = a
-        if best is not gap:
-            new[s] = best - card
+    new = [gap] * _POW5[size]
+    # state 0 always has the split (0, 0), so the program is never empty
+    sums = np.asarray(lt, dtype=np.float64)[idx1] + np.asarray(rt, dtype=np.float64)[idx2]
+    best = np.maximum.reduceat(sums, starts)
+    feasible = best > gap
+    hit = states[feasible]
+    for s, val in zip(hit.tolist(), (best[feasible] - bcard[hit]).astype(np.int64).tolist()):
+        new[s] = val
     return new
 
 

@@ -43,6 +43,36 @@ class TestValidate:
         assert any(v.condition == 3 for v in validate(Graph(2, [(0, 1)]), td))
 
 
+class TestConstructorChecks:
+    # decompose_tree and decompose_heuristic skip these checks; the public
+    # constructor, which read_td also uses, keeps every one
+    @pytest.mark.parametrize(
+        "n,tree,bags,fragment",
+        [
+            (2, Graph(2, [(0, 1)]), [{0, 1}], "one bag per tree node"),
+            (1, Graph(0), [], "at least one node"),
+            (2, Graph(3, [(0, 1)]), [{0}, {1}, {0, 1}], "not a tree"),
+            (2, Graph(4, [(0, 1), (1, 2), (0, 2)]), [{0}, {1}, {0, 1}, {1}], "not a tree"),
+            (2, Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], "out of range for n=2"),
+        ],
+    )
+    def test_rejects(self, n, tree, bags, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            TreeDecomposition(n, tree, bags)
+
+    def test_built_decompositions_pass_them(self):
+        for i in range(30):
+            g = random_graph(6 + i % 9, 0.3, seed=6300 + i)
+            built = [decompose_heuristic(g)]
+            if g.is_forest():
+                built.append(decompose_tree(g))
+            for td in built:
+                checked = TreeDecomposition(td.n, td.tree, td.bags)
+                assert checked.bags == td.bags
+                assert all(type(bag) is frozenset for bag in td.bags)
+                assert validate(g, td) == []
+
+
 class TestDecomposeTree:
     def test_path4(self):
         td = decompose_tree(path(4))

@@ -3,11 +3,12 @@
 ``reference_compute_tables`` (with the join rule and the mask helpers it
 called) and ``reference_trace_entry`` are the per-node table evaluation and
 the trace from before shapes and offsets, kept as written then apart from
-names and module prefixes. Every materialized table and every witness of the
-evaluator must equal theirs.
+names and module prefixes. Their join splits come from the per-state oracle
+of test_transition_programs, not from the solver's join programs, and the
+reference join is plain Python over them. Every materialized table and
+every witness of the evaluator must equal theirs.
 """
 
-import numpy as np
 import pytest
 
 import tnpack.treewidth as tw
@@ -24,6 +25,8 @@ from tnpack.decomposition import (
 from tnpack.graph import Graph
 from tnpack.instances import cycle, k_c4, random_tree
 from tnpack.treewidth import NEG
+
+from test_transition_programs import oracle_join_states
 
 # -- reference: the per-node evaluator ----------------------------------------
 
@@ -65,26 +68,9 @@ def reference_dp_join(
         raise ValueError(f"node {t} is not a join node")
     bag = ntd.bags[t]
     size = len(bag)
-    adj_masks = reference_join_adj_masks(ntd, t, g)
-    table = tw._POW5[size]
-    if table >= tw._JOIN_NUMPY_MIN_SIZE:
-        idx1, idx2, starts, states, bcard = tw._join_np_program(size, adj_masks)
-        left = np.asarray(left_table, dtype=np.int64)
-        right = np.asarray(right_table, dtype=np.int64)
-        a = left[idx1]
-        b = right[idx2]
-        sums = a + b
-        sums[(a < 0) | (b < 0)] = -(1 << 40)
-        best = np.maximum.reduceat(sums, starts) if len(sums) else np.empty(0, dtype=np.int64)
-        new = [NEG] * table
-        for s, val in zip(states.tolist(), best.tolist()):
-            if val >= 0:
-                new[s] = val - bcard[s]
-        return new
-    prog = tw._join_py_program(size, adj_masks)
-    new = [NEG] * table
-    for s in range(table):
-        card, pairs = prog[s]
+    states = oracle_join_states(size, reference_join_adj_masks(ntd, t, g))
+    new = [NEG] * tw._POW5[size]
+    for s, (card, pairs) in enumerate(states):
         best = NEG
         for s1, s2 in pairs:
             a = left_table[s1]
@@ -222,7 +208,7 @@ def reference_trace_entry(
                 continue
             left, right = children[t]
             value = tables[t][s]
-            card, pairs = tw._join_pairs(len(bags[t]), reference_join_adj_masks(ntd, t, g), s)
+            card, pairs = oracle_join_states(len(bags[t]), reference_join_adj_masks(ntd, t, g))[s]
             for s1, s2 in pairs:
                 a = tables[left][s1]
                 b = tables[right][s2]

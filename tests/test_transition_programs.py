@@ -1,14 +1,17 @@
 """The vectorized transition-program builders against the per-state
 enumeration they replaced, and witnesses pinned across the rewrite."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tnpack.treewidth as tw
 from tnpack.decomposition import JOIN, TreeDecomposition, decompose_heuristic, make_nice
-from tnpack.graph import Graph
+from tnpack.graph import Graph, disjoint_union
 from tnpack.instances import k_c4, random_graph, star
 
 
@@ -108,6 +111,32 @@ def oracle_join_program(size, adj_masks):
     )
 
 
+@functools.cache
+def oracle_join_states(size, adj_masks):
+    """oracle_join_splits of every state of one signature."""
+    return tuple(oracle_join_splits(s, size, adj_masks) for s in range(5**size))
+
+
+def reference_join_rule(lt, rt, size, adj_masks):
+    """The join rule in plain Python over the oracle's per-state splits:
+    gapped child shapes in, a gapped table out."""
+    gap = tw._GAP
+    new = [gap] * 5**size
+    for s, (card, pairs) in enumerate(oracle_join_states(size, adj_masks)):
+        best = gap
+        for s1, s2 in pairs:
+            if lt[s1] != gap and rt[s2] != gap:
+                best = max(best, lt[s1] + rt[s2])
+        if best != gap:
+            new[s] = best - card
+    return new
+
+
+def random_shape(rng, size):
+    """A gapped child shape: 0 at state 0, else -inf or a small value."""
+    return [0] + [rng.choice((tw._GAP, tw._GAP, 0, 1, 2, 3)) for _ in range(5**size - 1)]
+
+
 def symmetric_masks(size, edges):
     masks = [0] * size
     for i, j in edges:
@@ -134,24 +163,26 @@ def seeded_masks(size, count, seed):
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    for name in ("_intro_cache", "_join_py_cache", "_join_np_cache"):
-        monkeypatch.setattr(tw, name, {})
+    monkeypatch.setattr(tw, "_intro_cache", {})
+    monkeypatch.setattr(tw, "_join_cache", {})
+    monkeypatch.setattr(tw, "_join_cache_bytes", 0)
 
 
-def assert_join_matches(size, adj_masks, monkeypatch):
+def assert_join_matches(size, adj_masks):
     expected = oracle_join_program(size, adj_masks)
     built = tw._build_join_program(size, adj_masks)
     for want, got in zip(expected[:4], built[:4]):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     assert built[4] == expected[4]
-    per_state = [oracle_join_splits(s, size, adj_masks) for s in range(5**size)]
-    assert tw._join_py_program(size, adj_masks) == per_state
-    # the trace reads splits from whichever program evaluates the join
-    for threshold in (tw._JOIN_NUMPY_MIN_SIZE, 1):
-        monkeypatch.setattr(tw, "_JOIN_NUMPY_MIN_SIZE", threshold)
-        for s in range(0, 5**size, 7):
-            assert tw._join_pairs(size, adj_masks, s) == per_state[s]
+    # the join rule and the trace read the cached program, which stores
+    # state indices in 16 bits
+    cached = tw._join_program(size, adj_masks)
+    assert [a.dtype for a in cached] == [np.int16, np.int16, np.intp, np.int16, np.int8]
+    for want, got in zip(built, cached):
+        assert np.array_equal(got, want)
+    for s in range(5**size):
+        assert tw._join_pairs(size, adj_masks, s) == oracle_join_splits(s, size, adj_masks)
 
 
 def test_intro_program_every_signature(fresh_caches):
@@ -167,15 +198,40 @@ def test_intro_program_every_signature(fresh_caches):
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
-def test_join_program_every_symmetric_adjacency(size, fresh_caches, monkeypatch):
+def test_join_program_every_symmetric_adjacency(size, fresh_caches):
     for adj_masks in all_symmetric_masks(size):
-        assert_join_matches(size, adj_masks, monkeypatch)
+        assert_join_matches(size, adj_masks)
 
 
 @pytest.mark.parametrize("size,count,seed", [(4, 6, 4004), (5, 3, 5005)])
-def test_join_program_seeded_adjacencies(size, count, seed, fresh_caches, monkeypatch):
+def test_join_program_seeded_adjacencies(size, count, seed, fresh_caches):
     for adj_masks in seeded_masks(size, count, seed):
-        assert_join_matches(size, adj_masks, monkeypatch)
+        assert_join_matches(size, adj_masks)
+
+
+@st.composite
+def join_inputs(draw):
+    """A join signature of 1-4 vertices and two gapped child shapes; each
+    shape is drawn as a seed and a share of infeasible states, which keeps
+    the 625-entry shapes cheap to generate."""
+    size = draw(st.integers(1, 4))
+    slots = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    adj_masks = symmetric_masks(size, [e for e in slots if draw(st.booleans())])
+    shapes = []
+    for _ in range(2):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        gaps = draw(st.floats(0.0, 1.0))
+        shapes.append(
+            [0] + [tw._GAP if rng.random() < gaps else rng.randrange(5) for _ in range(5**size - 1)]
+        )
+    return size, adj_masks, shapes[0], shapes[1]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(join_inputs())
+def test_join_rule_equals_reference(inputs):
+    size, adj_masks, lt, rt = inputs
+    assert tw._join_rule(lt, rt, size, adj_masks) == reference_join_rule(lt, rt, size, adj_masks)
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -240,3 +296,68 @@ def test_trace_takes_first_optimal_split(fresh_caches, monkeypatch):
     )
     expected = [tw.trace_entry(g, ntd, tables, t, s) for t, s in entries]
     assert actual == expected
+
+
+# -- the join program cache ----------------------------------------------------
+
+# 40 distinct 5-vertex signatures: more wide joins than one batch of small
+# graphs brings, which the former 32-program cache could not hold
+FORTY = list(dict.fromkeys(seeded_masks(5, 60, 5405)))[:40]
+
+# four width-4 graphs side by side: 7 distinct 5-vertex join signatures, and
+# the witness the solver returned before the join cache was bounded by bytes
+EVICTION_GRAPH = disjoint_union([random_graph(13, 0.3, seed) for seed in (4, 5, 6, 8)])[0]
+EVICTION_WITNESS = [0, 3, 8, 10, 12, 13, 14, 18, 19, 21, 27, 32, 34, 37, 38, 39, 40, 42, 47, 49, 51]
+
+
+def count_builds(monkeypatch):
+    """Every (size, adj_masks) passed to _build_join_program from now on."""
+    calls = []
+    build = tw._build_join_program
+
+    def counting(size, adj_masks):
+        calls.append((size, adj_masks))
+        return build(size, adj_masks)
+
+    monkeypatch.setattr(tw, "_build_join_program", counting)
+    return calls
+
+
+@pytest.fixture
+def three_program_budget(fresh_caches, monkeypatch):
+    """An empty join cache bounded at the bytes of three 5-vertex programs."""
+    budget = 3 * tw._program_bytes(tw._join_program(5, FORTY[0]))
+    monkeypatch.setattr(tw, "_join_cache", {})
+    monkeypatch.setattr(tw, "_join_cache_bytes", 0)
+    monkeypatch.setattr(tw, "_JOIN_CACHE_BYTES", budget)
+    return budget
+
+
+def test_join_cache_builds_each_signature_once(fresh_caches, monkeypatch):
+    builds = count_builds(monkeypatch)
+    assert len(FORTY) == 40
+    rng = random.Random(5)
+    lt, rt = random_shape(rng, 5), random_shape(rng, 5)
+    first = [tw._join_rule(lt, rt, 5, m) for m in FORTY]
+    second = [tw._join_rule(lt, rt, 5, m) for m in FORTY]
+    assert first == second
+    assert builds == [(5, m) for m in FORTY]
+
+
+def test_join_cache_stays_within_budget(three_program_budget):
+    rng = random.Random(6)
+    lt, rt = random_shape(rng, 5), random_shape(rng, 5)
+    for m in FORTY[:12]:
+        tw._join_rule(lt, rt, 5, m)
+        held = [tw._program_bytes(p) for p in tw._join_cache.values()]
+        assert tw._join_cache_bytes == sum(held) <= three_program_budget
+        assert (5, m) in tw._join_cache
+    assert len(tw._join_cache) >= 2
+
+
+def test_trace_after_eviction_keeps_witness(three_program_budget, monkeypatch):
+    builds = count_builds(monkeypatch)
+    result = tw.solve(EVICTION_GRAPH)
+    # the trace rebuilt programs that the table evaluation had evicted
+    assert len(builds) > len(set(builds))
+    assert sorted(result.witness) == EVICTION_WITNESS

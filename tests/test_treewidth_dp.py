@@ -1,7 +1,9 @@
 import gc
+import random
 
 import pytest
 
+import tnpack.treewidth as tw
 from tnpack.decomposition import JOIN, decompose_heuristic, decompose_tree, make_nice
 from tnpack.errors import PreconditionError
 from tnpack.graph import Graph, induced_subgraph
@@ -18,6 +20,13 @@ from tnpack.treewidth import (
     encode_state,
     solve,
     trace_entry,
+)
+
+from test_transition_programs import (
+    all_symmetric_masks,
+    random_shape,
+    reference_join_rule,
+    seeded_masks,
 )
 
 
@@ -193,26 +202,19 @@ class TestJoinRule:
                 == tables[left][empty_idx] + tables[right][empty_idx]
             )
 
-    def test_numpy_and_python_paths_agree(self):
-        # width-4 graphs exercise the vectorized join; re-run each join node
-        # through the scalar path by rebuilding with a tiny table threshold
-        import tnpack.treewidth as tw
-
-        g = Graph(
-            6,
-            [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (4, 5)],
-        )
-        ntd = nice_for(g)
-        tables = compute_tables(g, ntd)
-        old = tw._JOIN_NUMPY_MIN_SIZE
-        try:
-            tw._JOIN_NUMPY_MIN_SIZE = 1  # force numpy everywhere
-            numpy_tables = compute_tables(g, ntd)
-        finally:
-            tw._JOIN_NUMPY_MIN_SIZE = old
-        materialized = [tables[t] for t in range(ntd.node_count)]
-        assert materialized == [numpy_tables[t] for t in range(ntd.node_count)]
-        assert all(type(x) is int for table in materialized for x in table)
+    def test_join_rule_matches_reference(self):
+        # the one numpy join rule against plain Python over the per-state
+        # oracle splits, on random gapped child shapes
+        rng = random.Random(2024)
+        signatures = [(size, m) for size in (1, 2, 3) for m in all_symmetric_masks(size)]
+        signatures += [(4, m) for m in seeded_masks(4, 6, 4104)]
+        signatures += [(5, m) for m in seeded_masks(5, 3, 5105)]
+        for size, adj_masks in signatures:
+            for _ in range(3):
+                lt, rt = random_shape(rng, size), random_shape(rng, size)
+                got = tw._join_rule(lt, rt, size, adj_masks)
+                assert got == reference_join_rule(lt, rt, size, adj_masks)
+                assert all(type(x) is int for x in got if x is not tw._GAP)
 
 
 class TestSolve:
