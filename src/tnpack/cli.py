@@ -132,25 +132,24 @@ def cmd_duality_report(args) -> int:
     return EXIT_OK if verified else EXIT_UNVERIFIED
 
 
+# families whose only parameter is --n
+_N_FAMILIES = {
+    "path": instances.path,
+    "cycle": instances.cycle,
+    "complete": instances.complete,
+    "empty": instances.empty,
+    "star": instances.star,
+    "gap": lambda n: instances.gap_family(n).graph,
+}
+
+
 def _build_family(args) -> tuple[Graph, dict, dict]:
     family = args.family
-    if family in ("path", "cycle", "complete", "empty", "star", "gap"):
+    if family in _N_FAMILIES:
         if args.n is None:
             raise PreconditionError(f"--n is required for family {family}")
         params = {"n": args.n}
-    if family == "path":
-        return instances.path(args.n), params, instances.expected_values(family, params)
-    if family == "cycle":
-        return instances.cycle(args.n), params, instances.expected_values(family, params)
-    if family == "complete":
-        return instances.complete(args.n), params, instances.expected_values(family, params)
-    if family == "empty":
-        return instances.empty(args.n), params, instances.expected_values(family, params)
-    if family == "star":
-        return instances.star(args.n), params, instances.expected_values(family, params)
-    if family == "gap":
-        inst = instances.gap_family(args.n)
-        return inst.graph, params, instances.expected_values(family, params)
+        return _N_FAMILIES[family](args.n), params, instances.expected_values(family, params)
     if family == "multipartite":
         if not args.parts:
             raise PreconditionError("--parts is required for family multipartite")
@@ -319,10 +318,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (PreconditionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except RuntimeError as exc:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graph import RootedTree, VertexSet
+from .graph import Graph, RootedTree, VertexSet
 from .oracles import RomanFunction, SolveResult, is_roman_dominating, is_two_neighbour_packing
 
 _INF = 1 << 30
@@ -135,6 +135,17 @@ def roman_tree_dp(tree: RootedTree) -> SolveResult:
     return SolveResult(value, f, n)
 
 
+def _two_cover(g: Graph, labels) -> list[int]:
+    """Per vertex u, the number of 2-labelled vertices in N[u]."""
+    two_cover = [0] * g.n
+    for v in range(g.n):
+        if labels[v] == 2:
+            two_cover[v] += 1
+            for u in g.adj[v]:
+                two_cover[u] += 1
+    return two_cover
+
+
 class _Normalizer:
     """Bottom-up rewriting of a minimum Roman function on a rooted tree.
 
@@ -156,13 +167,7 @@ class _Normalizer:
             depth[v] = depth[p] + 1 if p >= 0 else 0
         potential = sum(labels[v] * (depth[v] + 1) for v in range(self.g.n))
         self.budget = (potential + 2) * (self.g.n + 2)
-        # two_cover[u] = number of 2-labelled vertices in N[u]
-        self.two_cover = [0] * self.g.n
-        for v in range(self.g.n):
-            if labels[v] == 2:
-                self.two_cover[v] += 1
-                for u in self.g.adj[v]:
-                    self.two_cover[u] += 1
+        self.two_cover = _two_cover(self.g, labels)
 
     def set_label(self, v: int, value: int) -> None:
         old = self.labels[v]
@@ -397,12 +402,7 @@ def check_normalized_rdf(tree: RootedTree, f: RomanFunction) -> list[Normalizati
     labels = f.labels
     if len(labels) != g.n:
         raise ValueError(f"labelling has {len(labels)} entries for n={g.n}")
-    two_cover = [0] * g.n
-    for v in range(g.n):
-        if labels[v] == 2:
-            two_cover[v] += 1
-            for u in g.adj[v]:
-                two_cover[u] += 1
+    two_cover = _two_cover(g, labels)
 
     def externals(v):
         return [
@@ -470,12 +470,7 @@ def _packing(tree: RootedTree, f: RomanFunction) -> VertexSet:
     check_normalized_rdf; the caller checks the result."""
     g = tree.graph
     labels = f.labels
-    two_cover = [0] * g.n
-    for v in range(g.n):
-        if labels[v] == 2:
-            two_cover[v] += 1
-            for u in g.adj[v]:
-                two_cover[u] += 1
+    two_cover = _two_cover(g, labels)
     chosen = {v for v in range(g.n) if labels[v] == 1}
     for v in range(g.n):
         if labels[v] != 2:

@@ -13,22 +13,24 @@ few distinct shapes (a 100k-vertex random tree has about 310k nodes and a
 few hundred shapes), so the evaluator stores a shape id and an offset per
 node. A shape is a table shifted so that state 0 holds 0; state 0 (every
 bag vertex unchosen with count 0, the empty packing) is always feasible.
-Shapes mark infeasible states with -inf, which no shift can reach. A
-transition is a node kind, its signature and its child shape ids; each
-distinct transition is evaluated once per solve by the one rule of its kind,
-and the result is interned by content. Leaf, introduce and join rules keep
-state 0 at 0; a forget output is shifted back, and the shift goes into the
-node's offset. ``tables[t]`` on the result of compute_tables materializes
-node t's full table.
+A shape is one contiguous float64 array with -inf at infeasible states:
+-inf is below every entry and stays -inf under every sum and shift, so no
+rule tests for it. A transition is a node kind, its signature and its child
+shape ids; each distinct transition is evaluated once per solve by the one
+numpy rule of its kind, and the result is interned by its bytes. Leaf,
+introduce and join rules keep state 0 at 0; a forget output is shifted
+back, and the shift goes into the node's offset. ``tables[t]`` on the
+result of compute_tables materializes node t's full table.
 
-Every join is evaluated with numpy from one program per (bag size,
-adjacency) signature: all (left state, right state) splits of every state,
-grouped by state in canonical order. The trace reads the same program.
+Introduce and join rules read programs cached per signature. An introduce
+program is one gather of child states plus one add, -inf where the parent
+state is infeasible. A join program lists all (left state, right state)
+splits of every state, grouped by state in canonical order.
 
-Witnesses are reconstructed by one root-to-leaves trace. Its choices (the
-lowest forget digit, the first optimal join split in canonical order) do not
-depend on offsets, so each is derived once per (transition, state) from the
-shapes.
+Witnesses are reconstructed by one root-to-leaves trace that reads the same
+programs. Its choices (the child state of an introduce, the lowest forget
+digit, the first optimal join split in canonical order) do not depend on
+offsets, so each is derived once per (transition, state) from the shapes.
 """
 
 from __future__ import annotations
@@ -54,14 +56,9 @@ from .graph import Graph
 from .oracles import SolveResult, is_two_neighbour_packing
 
 NEG = -1  # infeasible entry of a materialized table
-# infeasible entry of a shape: below every entry, so max() needs no guard;
-# the rules keep this one object in every infeasible slot and test it by
-# identity before adding
-_GAP = float("-inf")
 
 _POW5 = tuple(5 ** i for i in range(28))
 
-_LEAF_SHAPE = (0, _GAP, _GAP, 1, _GAP)
 _LEAF_KEY = (LEAF,)
 
 # transition programs are built with numpy digit arithmetic and cached by
@@ -118,11 +115,12 @@ def _digit_array(size: int) -> np.ndarray:
 
 
 def _intro_entry(size: int, pos: int, nbr_mask: int):
-    """Cached introduce program for one signature: ``(cidx, add, steps)``.
+    """Cached introduce program for one signature: ``(gather, add)``.
 
-    ``cidx`` and ``add`` are indexed by parent state (see _intro_program);
-    ``steps`` lists ``(parent state, child state, add)`` for the feasible
-    parent states only, which is all the table evaluation needs.
+    Per parent state, ``gather`` holds the child state (0 where the parent
+    state is infeasible) and ``add`` holds 1 if the new vertex is chosen,
+    0 if not, and -inf if the parent state is infeasible. ``nbr_mask``
+    marks which child-bag positions are neighbours of the new vertex.
     """
     key = (size, pos, nbr_mask)
     cached = _intro_cache.get(key)
@@ -138,23 +136,9 @@ def _intro_entry(size: int, pos: int, nbr_mask: int):
     # neighbour's child digit is one lower and must not drop below its floor
     feasible &= ~in_b | ~((rest[:, nbr] == 0) | (rest[:, nbr] == 3)).any(axis=1)
     child = (rest - np.outer(in_b, nbr)) @ np.asarray(_POW5[: size - 1], dtype=np.int64)
-    cidx = np.where(feasible, child, NEG).tolist()
-    add = (in_b & feasible).astype(np.int64).tolist()
-    steps = [(s, c, a) for s, (c, a) in enumerate(zip(cidx, add)) if c >= 0]
-    cached = (cidx, add, steps)
+    cached = (np.where(feasible, child, 0), np.where(feasible, in_b, -np.inf))
     _intro_cache[key] = cached
     return cached
-
-
-def _intro_program(size: int, pos: int, nbr_mask: int) -> tuple[list[int], list[int]]:
-    """Per parent state: child state index (or -1 if infeasible) and the +1
-    flag for the introduced vertex being chosen.
-
-    ``nbr_mask`` marks which child-bag positions are neighbours of the new
-    vertex; their counts are one lower in the child state.
-    """
-    cidx, add, _ = _intro_entry(size, pos, nbr_mask)
-    return cidx, add
 
 
 def _join_triples(chosen: bool, k: int) -> np.ndarray:
@@ -244,13 +228,6 @@ def _join_pairs(size: int, adj_masks: tuple[int, ...], s: int):
     return card, list(zip(idx1[lo:hi].tolist(), idx2[lo:hi].tolist()))
 
 
-def _bag_position(bag, v) -> int:
-    try:
-        return bag.index(v)
-    except ValueError:
-        raise ValueError(f"vertex {v} not in bag {bag}") from None
-
-
 def _nbr_mask(bag, v, adj) -> int:
     """Bit q set when the q-th vertex of ``bag`` other than ``v`` is a
     neighbour of ``v``: the neighbour mask of an introduce signature.
@@ -266,12 +243,6 @@ def _nbr_mask(bag, v, adj) -> int:
                 mask |= 1 << q
             q += 1
     return mask
-
-
-def _intro_signature(ntd: NiceTreeDecomposition, t: int, g: Graph):
-    bag = ntd.bags[t]
-    v = ntd.payloads[t]
-    return len(bag), _bag_position(bag, v), _nbr_mask(bag, v, g.adj)
 
 
 def _join_adj_masks(ntd: NiceTreeDecomposition, t: int, g: Graph) -> tuple[int, ...]:
@@ -290,142 +261,57 @@ def _join_adj_masks(ntd: NiceTreeDecomposition, t: int, g: Graph) -> tuple[int, 
     return tuple(masks)
 
 
-def _forget_rule(ct, pos: int) -> list:
+def _forget_rule(ct: np.ndarray, pos: int) -> np.ndarray:
     """Forget: per parent state, the best of the five child entries that
     extend it by a digit at ``pos``."""
-    low = _POW5[pos]
-    if pos == 0:
-        return list(map(max, ct[0::5], ct[1::5], ct[2::5], ct[3::5], ct[4::5]))
-    high = 5 * low
-    if high == len(ct):
-        # the highest digit: the child entries with digit d form one slice in
-        # parent-state order
-        return list(
-            map(max, ct[:low], ct[low : 2 * low], ct[2 * low : 3 * low],
-                ct[3 * low : 4 * low], ct[4 * low :])
-        )
-    # the five extensions of a parent state sit on an arithmetic slice
-    return [
-        max(ct[h * high + l : h * high + l + high : low])
-        for h in range(len(ct) // high)
-        for l in range(low)
-    ]
+    return ct.reshape(-1, 5, _POW5[pos]).max(axis=1).ravel()
 
 
-def _introduce_rule(ct, size: int, steps) -> list:
+def _introduce_rule(ct: np.ndarray, size: int, pos: int, nbr_mask: int) -> np.ndarray:
     """Introduce: each feasible parent state carries its child entry over,
-    plus one when the new vertex is chosen."""
-    gap = _GAP
-    new = [gap] * _POW5[size]
-    for s, c, a in steps:
-        val = ct[c]
-        if val is not gap:
-            new[s] = val + a
-    return new
+    plus one when the new vertex is chosen (its chosen neighbours' child
+    counts are then one lower); every other state is infeasible."""
+    gather, add = _intro_entry(size, pos, nbr_mask)
+    return ct[gather] + add
 
 
-def _join_rule(lt, rt, size: int, adj_masks: tuple[int, ...]) -> list:
+def _join_rule(
+    lt: np.ndarray, rt: np.ndarray, size: int, adj_masks: tuple[int, ...]
+) -> np.ndarray:
     """Join: per state, the best sum of child entries over all count splits,
     minus the double-counted |B|."""
     idx1, idx2, starts, states, bcard = _join_program(size, adj_masks)
-    gap = _GAP
-    new = [gap] * _POW5[size]
+    new = np.full(_POW5[size], -np.inf)
     # state 0 always has the split (0, 0), so the program is never empty
-    sums = np.asarray(lt, dtype=np.float64)[idx1] + np.asarray(rt, dtype=np.float64)[idx2]
-    best = np.maximum.reduceat(sums, starts)
-    feasible = best > gap
-    hit = states[feasible]
-    for s, val in zip(hit.tolist(), (best[feasible] - bcard[hit]).astype(np.int64).tolist()):
-        new[s] = val
+    new[states] = np.maximum.reduceat(lt[idx1] + rt[idx2], starts) - bcard[states]
     return new
 
 
-def _gapped(table) -> list:
-    """A materialized table with -inf in place of NEG."""
-    return [x if x >= 0 else _GAP for x in table]
-
-
-def _materialize(shape, offset: int) -> list[int]:
-    gap = _GAP
-    return [NEG if x is gap else x + offset for x in shape]
-
-
-def dp_leaf(ntd: NiceTreeDecomposition, t: int) -> list[int]:
-    """Leaf table: empty packing, or the bag vertex alone with count 1."""
-    if ntd.kinds[t] != LEAF:
-        raise ValueError(f"node {t} is not a leaf")
-    return _materialize(_LEAF_SHAPE, 0)
-
-
-def dp_forget(ntd: NiceTreeDecomposition, t: int, child_table: list[int]) -> list[int]:
-    """Forget table: per state, the best child entry over the five extensions
-    of the dropped vertex."""
-    if ntd.kinds[t] != FORGET:
-        raise ValueError(f"node {t} is not a forget node")
-    child_bag = ntd.bags[ntd.children[t][0]]
-    pos = _bag_position(child_bag, ntd.payloads[t])
-    return _materialize(_forget_rule(_gapped(child_table), pos), 0)
-
-
-def dp_introduce(ntd: NiceTreeDecomposition, t: int, child_table: list[int], g: Graph) -> list[int]:
-    """Introduce table: states whose count at the new vertex disagrees with its
-    chosen bag neighbours are infeasible; otherwise the child entry carries
-    over, plus one when the new vertex is chosen (its chosen neighbours' child
-    counts are then one lower)."""
-    if ntd.kinds[t] != INTRODUCE:
-        raise ValueError(f"node {t} is not an introduce node")
-    size, pos, mask = _intro_signature(ntd, t, g)
-    steps = _intro_entry(size, pos, mask)[2]
-    return _materialize(_introduce_rule(_gapped(child_table), size, steps), 0)
-
-
-def dp_join(
-    ntd: NiceTreeDecomposition,
-    t: int,
-    left_table: list[int],
-    right_table: list[int],
-    g: Graph,
-) -> list[int]:
-    """Join table: best sum of child entries over all count splits, minus the
-    double-counted |B|."""
-    if ntd.kinds[t] != JOIN:
-        raise ValueError(f"node {t} is not a join node")
-    size = len(ntd.bags[t])
-    new = _join_rule(
-        _gapped(left_table), _gapped(right_table), size, _join_adj_masks(ntd, t, g)
-    )
-    return _materialize(new, 0)
-
-
-def _transition(key: tuple, size: int, shapes: list, shape_ids: dict) -> tuple:
-    """Evaluate one transition on its child shapes: ``(key, shape id, shift,
-    introduce program or None)``, where the node's table is its shape plus
-    the children's offsets plus ``shift``."""
+def _transition(key: tuple, shapes: list, shape_ids: dict) -> tuple:
+    """Evaluate one transition on its child shapes: ``(key, shape id,
+    shift)``, where the node's table is its shape plus the children's
+    offsets plus ``shift``."""
     kind = key[0]
     shift = 0
-    program = None
     if kind == FORGET:
         _, pos, child = key
         out = _forget_rule(shapes[child], pos)
-        shift = out[0]
+        shift = int(out[0])
         if shift:
-            gap = _GAP
-            out = [x if x is gap else x - shift for x in out]
+            out -= shift
     elif kind == INTRODUCE:
-        _, pos, mask, child = key
-        program = _intro_entry(size, pos, mask)
-        out = _introduce_rule(shapes[child], size, program[2])
+        _, size, pos, mask, child = key
+        out = _introduce_rule(shapes[child], size, pos, mask)
     elif kind == LEAF:
-        out = _LEAF_SHAPE
+        out = np.array([0, -np.inf, -np.inf, 1, -np.inf])
     else:
         _, adj_masks, left, right = key
-        out = _join_rule(shapes[left], shapes[right], size, adj_masks)
-    shape = tuple(out)
-    # setdefault hashes the shape once, found or not
-    sid = shape_ids.setdefault(shape, len(shapes))
+        out = _join_rule(shapes[left], shapes[right], len(adj_masks), adj_masks)
+    # setdefault hashes the bytes once, found or not
+    sid = shape_ids.setdefault(out.tobytes(), len(shapes))
     if sid == len(shapes):
-        shapes.append(shape)
-    return key, sid, shift, program
+        shapes.append(out)
+    return key, sid, shift
 
 
 class DPTables:
@@ -445,9 +331,11 @@ class DPTables:
         return len(self.offsets)
 
     def __getitem__(self, t: int) -> list[int]:
-        return _materialize(self.shape(t), self.offsets[t])
+        shape = self.shape(t)
+        table = np.where(shape == -np.inf, NEG, shape + self.offsets[t])
+        return table.astype(np.int64).tolist()
 
-    def shape(self, t: int) -> tuple:
+    def shape(self, t: int) -> np.ndarray:
         return self.shapes[self.node_shape[t]]
 
 
@@ -458,8 +346,8 @@ def compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> DPTables:
     node_transition = [0] * count
     node_shape = [0] * count
     offsets = [0] * count
-    shapes: list[tuple] = []
-    shape_ids: dict[tuple, int] = {}
+    shapes: list[np.ndarray] = []
+    shape_ids: dict[bytes, int] = {}
     transitions: list[tuple] = []
     transition_ids: dict[tuple, int] = {}
     kinds = ntd.kinds
@@ -476,18 +364,8 @@ def compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> DPTables:
         elif kind == INTRODUCE:
             bag = bags[t]
             v = payloads[t]
-            # _nbr_mask, inlined: introduce nodes make up half of a chain
-            nbrs = adj[v]
-            degree = len(nbrs)
-            mask = 0
-            q = 0
-            for u in bag:
-                if u != v:
-                    if (u in nbrs) if degree <= len(adj[u]) else (v in adj[u]):
-                        mask |= 1 << q
-                    q += 1
             child = children[t][0]
-            key = (INTRODUCE, bag.index(v), mask, node_shape[child])
+            key = (INTRODUCE, len(bag), bag.index(v), _nbr_mask(bag, v, adj), node_shape[child])
             offset = offsets[child]
         elif kind == LEAF:
             key = _LEAF_KEY
@@ -498,7 +376,7 @@ def compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> DPTables:
             offset = offsets[left] + offsets[right]
         tid = transition_ids.setdefault(key, len(transitions))
         if tid == len(transitions):
-            transitions.append(_transition(key, len(bags[t]), shapes, shape_ids))
+            transitions.append(_transition(key, shapes, shape_ids))
         record = transitions[tid]
         node_transition[t] = tid
         node_shape[t] = record[1]
@@ -507,21 +385,27 @@ def compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> DPTables:
 
 
 def _pick(record: tuple, shapes: list, s: int):
-    """The trace's choice at a forget or join transition in state ``s``: the
-    child state with the lowest dropped digit, or the first (left, right)
-    split in canonical order, that attains the entry."""
-    key, sid, shift, _ = record
+    """The trace's choice at a transition in state ``s``: for an introduce,
+    the child state and whether the new vertex is chosen; for a forget, the
+    child state with the lowest dropped digit that attains the entry; for a
+    join, the first (left, right) split in canonical order that attains it."""
+    key, sid, shift = record
+    kind = key[0]
+    if kind == INTRODUCE:
+        _, size, pos, mask, _ = key
+        gather, add = _intro_entry(size, pos, mask)
+        if add[s] == -np.inf:
+            raise RuntimeError("inconsistent introduce table")
+        return int(gather[s]), add[s] > 0
     value = shapes[sid][s]
-    if key[0] == FORGET:
+    if kind == FORGET:
         _, pos, child = key
-        ct = shapes[child]
-        target = value + shift
         low = _POW5[pos]
         base = (s // low) * (5 * low) + s % low
-        for c in range(base, base + 5 * low, low):
-            if ct[c] == target:
-                return c
-        raise RuntimeError("inconsistent forget table")
+        hits = np.flatnonzero(shapes[child][base : base + 5 * low : low] == value + shift)
+        if not hits.size:
+            raise RuntimeError("inconsistent forget table")
+        return base + int(hits[0]) * low
     _, adj_masks, left, right = key
     lt = shapes[left]
     rt = shapes[right]
@@ -539,7 +423,7 @@ def trace_entry(
     derived choice per (transition, state); deterministic (first candidate
     in canonical order)."""
     shapes = tables.shapes
-    if shapes[tables.node_shape[node]][state] is _GAP:
+    if shapes[tables.node_shape[node]][state] == -np.inf:
         raise ValueError(f"entry {state} at node {node} is infeasible")
     chosen: set[int] = set()
     kinds = ntd.kinds
@@ -560,20 +444,17 @@ def trace_entry(
                     chosen.add(payloads[t])
                 break
             tid = node_transition[t]
-            if kind == INTRODUCE:
-                cidx, add, _ = transitions[tid][3]
-                c = cidx[s]
-                if c < 0:
-                    raise RuntimeError("inconsistent introduce table")
-                if add[s]:
-                    chosen.add(payloads[t])
-                t, s = children[t][0], c
-                continue
             pick = picks.get((tid, s))
             if pick is None:
                 pick = picks[tid, s] = _pick(transitions[tid], shapes, s)
             if kind == FORGET:
                 t, s = children[t][0], pick
+                continue
+            if kind == INTRODUCE:
+                s, taken = pick
+                if taken:
+                    chosen.add(payloads[t])
+                t = children[t][0]
                 continue
             left, right = children[t]
             stack.append((left, pick[0]))
@@ -624,9 +505,8 @@ def solve(
         tables = compute_tables(g, ntd)
         root_shape = tables.shape(ntd.root)
         # state 0 of every shape holds 0, so the maximum is finite
-        best = max(root_shape)
-        state = root_shape.index(best)
-        value = best + tables.offsets[ntd.root]
+        state = int(root_shape.argmax())
+        value = int(root_shape[state]) + tables.offsets[ntd.root]
         witness = trace_entry(g, ntd, tables, ntd.root, state)
         node_count = ntd.node_count
     finally:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tnpack
-from tnpack import cli, duality, treewidth
+from tnpack import cli, duality, instances, treewidth
 from tnpack.cli import main
 from tnpack.duality import certify_tree
 from tnpack.graph import Graph, RootedTree, read_graph, write_graph
@@ -232,7 +233,54 @@ class TestDualityReport:
         assert (data["tnp"], data["roman"], data["gap"]) == (2, 3, 1)
 
 
+def generate_family_choices():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["generate"]._actions if a.dest == "family").choices
+
+
+# family -> (extra arguments, graph, sidecar params); the sidecar's expected
+# values are instances.expected_values(family, params)
+GENERATE_CASES = {
+    "path": (["--n", "7"], lambda: instances.path(7), {"n": 7}),
+    "cycle": (["--n", "9"], lambda: instances.cycle(9), {"n": 9}),
+    "complete": (["--n", "5"], lambda: instances.complete(5), {"n": 5}),
+    "empty": (["--n", "4"], lambda: instances.empty(4), {"n": 4}),
+    "star": (["--n", "6"], lambda: instances.star(6), {"n": 6}),
+    "multipartite": (
+        ["--parts", "2,3"], lambda: instances.complete_multipartite([2, 3]), {"parts": [2, 3]}
+    ),
+    "gap": (["--n", "4"], lambda: instances.gap_family(4).graph, {"n": 4}),
+    "kc4": (["--k", "2"], lambda: instances.k_c4(2).graph, {"k": 2}),
+    "random-tree": (
+        ["--n", "12", "--seed", "3"], lambda: instances.random_tree(12, 3), {"n": 12, "seed": 3}
+    ),
+    "random-graph": (
+        ["--n", "10", "--p", "0.3", "--seed", "7"],
+        lambda: instances.random_graph(10, 0.3, 7),
+        {"n": 10, "p": 0.3, "seed": 7},
+    ),
+}
+
+
 class TestGenerate:
+    def test_cases_cover_every_family(self):
+        assert set(GENERATE_CASES) == set(generate_family_choices())
+
+    @pytest.mark.parametrize("family", sorted(GENERATE_CASES))
+    def test_writes_builder_graph_and_sidecar(self, capsys, tmp_path, family):
+        extra, build, params = GENERATE_CASES[family]
+        out_file = tmp_path / "g.gr"
+        code, out, _ = run_cli(capsys, "generate", "--family", family, *extra, "-o", str(out_file))
+        assert code == 0
+        g = build()
+        assert out_file.read_text() == write_graph(g)
+        expected = instances.expected_values(family, params)
+        sidecar = json.loads((tmp_path / "g.json").read_text())
+        assert sidecar == {"family": family, "params": params, "expected": expected}
+        data = json.loads(out)
+        assert (data["n"], data["m"], data["expected"]) == (g.n, g.m, expected)
+
     def test_gap_sidecar(self, capsys, tmp_path):
         out_file = tmp_path / "gap4.gr"
         code, out, _ = run_cli(

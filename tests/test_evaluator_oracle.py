@@ -3,10 +3,11 @@
 ``reference_compute_tables`` (with the join rule and the mask helpers it
 called) and ``reference_trace_entry`` are the per-node table evaluation and
 the trace from before shapes and offsets, kept as written then apart from
-names and module prefixes. Their join splits come from the per-state oracle
-of test_transition_programs, not from the solver's join programs, and the
-reference join is plain Python over them. Every materialized table and
-every witness of the evaluator must equal theirs.
+names, module prefixes and where their transition programs come from: the
+introduce programs and join splits are the per-state oracles of
+test_transition_programs, not the solver's programs, and the reference
+rules are plain Python over them. Every materialized table and every
+witness of the evaluator must equal theirs.
 """
 
 import pytest
@@ -26,7 +27,7 @@ from tnpack.graph import Graph
 from tnpack.instances import cycle, k_c4, random_tree
 from tnpack.treewidth import NEG
 
-from test_transition_programs import oracle_join_states
+from test_transition_programs import oracle_intro_program, oracle_join_states
 
 # -- reference: the per-node evaluator ----------------------------------------
 
@@ -88,7 +89,7 @@ def reference_compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> list[list[
     """Evaluate the whole decomposition bottom-up; one table per node.
 
     Forget and introduce dominate long chains, so their transitions are
-    inlined here; joins go through dp_join.
+    inlined here; joins go through reference_dp_join.
     """
     tables: list[list[int] | None] = [None] * ntd.node_count
     kinds = ntd.kinds
@@ -97,7 +98,6 @@ def reference_compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> list[list[
     children = ntd.children
     adj = g.adj
     pow5 = tw._POW5
-    intro_cache = tw._intro_cache
     for t in ntd.order:
         kind = kinds[t]
         if kind == FORGET:
@@ -137,14 +137,12 @@ def reference_compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> list[list[
                     if u in nbrs:
                         mask |= 1 << q
                     q += 1
-            key = (len(bag), bag.index(v), mask)
-            steps = (intro_cache.get(key) or tw._intro_entry(*key))[2]
+            cidx, add = oracle_intro_program(len(bag), bag.index(v), mask)
             ct = tables[children[t][0]]
             new = [NEG] * pow5[len(bag)]
-            for s, c, a in steps:
-                val = ct[c]
-                if val >= 0:
-                    new[s] = val + a
+            for s, c in enumerate(cidx):
+                if c >= 0 and ct[c] >= 0:
+                    new[s] = ct[c] + add[s]
             tables[t] = new
         elif kind == LEAF:
             tables[t] = [0, NEG, NEG, 1, NEG]
@@ -180,7 +178,7 @@ def reference_trace_entry(
                 break
             if kind == FORGET:
                 child = children[t][0]
-                pos = tw._bag_position(bags[child], payloads[t])
+                pos = bags[child].index(payloads[t])
                 low = tw._POW5[pos]
                 base = (s // low) * (5 * low) + s % low
                 value = tables[t][s]
@@ -196,8 +194,8 @@ def reference_trace_entry(
             if kind == INTRODUCE:
                 bag = bags[t]
                 v = payloads[t]
-                cidx, add, _ = tw._intro_entry(
-                    len(bag), tw._bag_position(bag, v), reference_nbr_mask(bag, v, adj[v])
+                cidx, add = oracle_intro_program(
+                    len(bag), bag.index(v), reference_nbr_mask(bag, v, adj[v])
                 )
                 c = cidx[s]
                 if c < 0:
@@ -320,7 +318,7 @@ def test_shapes_hold_zero_at_state_zero(dp_suite):
             continue
         tables = tw.compute_tables(g, nice_for(g))
         assert all(shape[0] == 0 for shape in tables.shapes)
-        assert len(set(tables.shapes)) == len(tables.shapes)
+        assert len({shape.tobytes() for shape in tables.shapes}) == len(tables.shapes)
 
 
 def test_infeasible_trace_entry_rejected():

@@ -17,6 +17,8 @@ from tnpack.instances import k_c4, random_graph, star
 
 # -- reference oracle: one state at a time, in plain Python ------------------
 
+GAP = float("-inf")  # an infeasible entry of a shape
+
 
 def state_digits(s, size):
     digits = []
@@ -26,7 +28,10 @@ def state_digits(s, size):
     return digits
 
 
+@functools.cache
 def oracle_intro_program(size, pos, nbr_mask):
+    """Per parent state: child state (NEG if infeasible) and 1 if the new
+    vertex is chosen."""
     table = 5**size
     cidx = [tw.NEG] * table
     add = [0] * table
@@ -120,21 +125,37 @@ def oracle_join_states(size, adj_masks):
 def reference_join_rule(lt, rt, size, adj_masks):
     """The join rule in plain Python over the oracle's per-state splits:
     gapped child shapes in, a gapped table out."""
-    gap = tw._GAP
-    new = [gap] * 5**size
+    new = [GAP] * 5**size
     for s, (card, pairs) in enumerate(oracle_join_states(size, adj_masks)):
-        best = gap
+        best = GAP
         for s1, s2 in pairs:
-            if lt[s1] != gap and rt[s2] != gap:
+            if lt[s1] != GAP and rt[s2] != GAP:
                 best = max(best, lt[s1] + rt[s2])
-        if best != gap:
+        if best != GAP:
             new[s] = best - card
     return new
 
 
+def reference_forget_rule(ct, size, pos):
+    """The forget rule in plain Python: per parent state, the best of the
+    five child entries with a digit inserted at ``pos``."""
+    low = 5**pos
+    return [
+        max(ct[(p // low) * 5 * low + d * low + p % low] for d in range(5))
+        for p in range(5 ** (size - 1))
+    ]
+
+
+def reference_introduce_rule(ct, size, pos, nbr_mask):
+    """The introduce rule in plain Python over the oracle program."""
+    cidx, add = oracle_intro_program(size, pos, nbr_mask)
+    return [GAP if c < 0 or ct[c] == GAP else ct[c] + a for c, a in zip(cidx, add)]
+
+
 def random_shape(rng, size):
     """A gapped child shape: 0 at state 0, else -inf or a small value."""
-    return [0] + [rng.choice((tw._GAP, tw._GAP, 0, 1, 2, 3)) for _ in range(5**size - 1)]
+    entries = [0] + [rng.choice((GAP, GAP, 0, 1, 2, 3)) for _ in range(5**size - 1)]
+    return np.array(entries, dtype=np.float64)
 
 
 def symmetric_masks(size, edges):
@@ -190,9 +211,10 @@ def test_intro_program_every_signature(fresh_caches):
     for size in range(1, 6):
         for pos in range(size):
             for mask in range(1 << (size - 1)):
-                assert tw._intro_program(size, pos, mask) == oracle_intro_program(
-                    size, pos, mask
-                )
+                gather, add = tw._intro_entry(size, pos, mask)
+                cidx, flags = oracle_intro_program(size, pos, mask)
+                assert gather.tolist() == [max(c, 0) for c in cidx]
+                assert add.tolist() == [GAP if c < 0 else f for c, f in zip(cidx, flags)]
                 checked += 1
     assert checked == 129
 
@@ -209,29 +231,63 @@ def test_join_program_seeded_adjacencies(size, count, seed, fresh_caches):
         assert_join_matches(size, adj_masks)
 
 
+def draw_shape(draw, size):
+    """A gapped shape over a bag of ``size`` vertices, drawn as a seed and a
+    share of infeasible states, which keeps large shapes cheap to generate."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    gaps = draw(st.floats(0.0, 1.0))
+    entries = [0] + [GAP if rng.random() < gaps else rng.randrange(5) for _ in range(5**size - 1)]
+    return np.array(entries, dtype=np.float64)
+
+
 @st.composite
 def join_inputs(draw):
-    """A join signature of 1-4 vertices and two gapped child shapes; each
-    shape is drawn as a seed and a share of infeasible states, which keeps
-    the 625-entry shapes cheap to generate."""
+    """A join signature of 1-4 vertices and two gapped child shapes."""
     size = draw(st.integers(1, 4))
     slots = [(i, j) for i in range(size) for j in range(i + 1, size)]
     adj_masks = symmetric_masks(size, [e for e in slots if draw(st.booleans())])
-    shapes = []
-    for _ in range(2):
-        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-        gaps = draw(st.floats(0.0, 1.0))
-        shapes.append(
-            [0] + [tw._GAP if rng.random() < gaps else rng.randrange(5) for _ in range(5**size - 1)]
-        )
-    return size, adj_masks, shapes[0], shapes[1]
+    return size, adj_masks, draw_shape(draw, size), draw_shape(draw, size)
+
+
+@st.composite
+def forget_inputs(draw):
+    """A child bag of 1-5 vertices, the position of the forgotten vertex and
+    a gapped child shape."""
+    size = draw(st.integers(1, 5))
+    return size, draw(st.integers(0, size - 1)), draw_shape(draw, size)
+
+
+@st.composite
+def introduce_inputs(draw):
+    """A bag of 1-5 vertices, the position of the introduced vertex, its
+    neighbour mask over the other positions and a gapped child shape."""
+    size = draw(st.integers(1, 5))
+    pos = draw(st.integers(0, size - 1))
+    mask = draw(st.integers(0, (1 << (size - 1)) - 1))
+    return size, pos, mask, draw_shape(draw, size - 1)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(join_inputs())
 def test_join_rule_equals_reference(inputs):
     size, adj_masks, lt, rt = inputs
-    assert tw._join_rule(lt, rt, size, adj_masks) == reference_join_rule(lt, rt, size, adj_masks)
+    got = tw._join_rule(lt, rt, size, adj_masks)
+    assert got.tolist() == reference_join_rule(lt, rt, size, adj_masks)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(forget_inputs())
+def test_forget_rule_equals_reference(inputs):
+    size, pos, ct = inputs
+    assert tw._forget_rule(ct, pos).tolist() == reference_forget_rule(ct, size, pos)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(introduce_inputs())
+def test_introduce_rule_equals_reference(inputs):
+    size, pos, mask, ct = inputs
+    got = tw._introduce_rule(ct, size, pos, mask)
+    assert got.tolist() == reference_introduce_rule(ct, size, pos, mask)
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -338,8 +394,8 @@ def test_join_cache_builds_each_signature_once(fresh_caches, monkeypatch):
     assert len(FORTY) == 40
     rng = random.Random(5)
     lt, rt = random_shape(rng, 5), random_shape(rng, 5)
-    first = [tw._join_rule(lt, rt, 5, m) for m in FORTY]
-    second = [tw._join_rule(lt, rt, 5, m) for m in FORTY]
+    first = [tw._join_rule(lt, rt, 5, m).tolist() for m in FORTY]
+    second = [tw._join_rule(lt, rt, 5, m).tolist() for m in FORTY]
     assert first == second
     assert builds == [(5, m) for m in FORTY]
 
