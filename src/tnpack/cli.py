@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import instances, lp
-from .decomposition import make_nice, read_td
+from .decomposition import make_nice, read_td  # noqa: F401  (perfbench/spans.py traces make_nice here)
 from .duality import certify_tree
 from .errors import ParseError, PreconditionError, SizeCapError
 from .graph import Graph, RootedTree, read_graph, write_graph
@@ -59,13 +59,10 @@ def cmd_solve(args) -> int:
         report["value"] = result.value
         report["witness"] = sorted(witness)
     elif args.method == "dp":
-        ntd = None
-        if args.td:
-            td = read_td(Path(args.td).read_text())
-            ntd = make_nice(td, g)
-        # the solver checks its witness and raises RuntimeError (exit 1)
-        # when the check fails
-        result = dp_solve(g, ntd=ntd)
+        td = read_td(Path(args.td).read_text()) if args.td else None
+        # the solver validates a given decomposition, checks its witness and
+        # raises RuntimeError (exit 1) when the check fails
+        result = dp_solve(g, td=td)
         verified = True
         report["value"] = result.value
         report["witness"] = sorted(result.witness)

@@ -334,63 +334,104 @@ class _NiceBuilder:
         )
 
 
+def check_decomposition(g: Graph, td: TreeDecomposition) -> None:
+    """Raise PreconditionError unless ``td`` is a valid decomposition of g."""
+    if td.n != g.n:
+        raise PreconditionError(f"decomposition is over n={td.n}, graph has n={g.n}")
+    problems = validate(g, td)
+    if problems:
+        raise PreconditionError(
+            f"invalid decomposition: {'; '.join(str(p) for p in problems[:3])}"
+        )
+
+
+def root_decomposition(td: TreeDecomposition):
+    """The rooting make_nice and the dynamic program share: ``(root, parent,
+    children, order)``.
+
+    Empty-bag leaves are pruned until none is left (one node always stays),
+    so that every remaining leaf has a vertex to start from. The root is
+    the lowest-numbered remaining node of maximum remaining degree, each
+    node's children keep ``tree.adj`` order, and ``order`` lists the
+    remaining nodes children-first: the reverse of a depth-first preorder
+    that visits children in that order. A pruned node has parent -1, no
+    children, and is not in ``order``.
+    """
+    adj = td.tree.adj
+    count = td.tree.n
+    bags = td.bags
+    degree = list(map(len, adj))
+    alive = None
+    if not all(bags):
+        alive = [True] * count
+        queue = [t for t in range(count) if degree[t] <= 1 and not bags[t]]
+        alive_count = count
+        while queue:
+            t = queue.pop()
+            if not alive[t] or alive_count == 1:
+                continue
+            alive[t] = False
+            alive_count -= 1
+            for s in adj[t]:
+                if alive[s]:
+                    degree[s] -= 1
+                    if degree[s] <= 1 and not bags[s]:
+                        queue.append(s)
+        # degree[t] now counts the alive neighbours of every alive t
+        for t in range(count):
+            if not alive[t]:
+                degree[t] = -1
+    root = degree.index(max(degree))
+    parent = [-1] * count
+    children: list[tuple[int, ...]] = [()] * count
+    preorder: list[int] = []
+    visit = preorder.append
+    stack = [root]
+    pop = stack.pop
+    push = stack.extend
+    while stack:
+        t = pop()
+        visit(t)
+        kids = adj[t]
+        p = parent[t]
+        if p >= 0:
+            if len(kids) == 1:  # a leaf: its one neighbour is its parent
+                continue
+            i = kids.index(p)
+            kids = kids[:i] + kids[i + 1 :]
+        if alive is not None:
+            kids = tuple(s for s in kids if alive[s])
+        children[t] = kids
+        for s in kids:
+            parent[s] = t
+        push(reversed(kids))
+    preorder.reverse()
+    return root, parent, children, preorder
+
+
 def make_nice(td: TreeDecomposition, g: Graph, pre_validated: bool = False) -> NiceTreeDecomposition:
     """Turn a valid decomposition into nice form of the same width.
 
-    The decomposition tree is rooted at a maximum-degree node, high-degree
-    nodes become join cascades, differing adjacent bags are bridged by
-    forget/introduce chains, and the root bag is drained by forgets until a
-    single vertex remains. Node count stays linear in (width+1) * nodes.
-    ``pre_validated`` skips revalidating a decomposition the caller has
-    already checked against g.
+    The decomposition tree is rooted by root_decomposition, a node with
+    several children becomes a join cascade over them in child order,
+    differing adjacent bags are bridged by forget/introduce chains, a
+    childless bag starts with a leaf of its lowest vertex, and the root bag
+    is drained by forgets until its lowest vertex remains. Node count stays
+    linear in (width+1) * nodes. ``pre_validated`` skips revalidating a
+    decomposition the caller has already checked against g.
     """
     if not pre_validated:
-        problems = validate(g, td)
-        if problems:
-            raise PreconditionError(
-                f"invalid decomposition: {'; '.join(str(p) for p in problems[:3])}"
-            )
+        check_decomposition(g, td)
     if g.n == 0:
         raise ValueError("empty graph has no nice tree decomposition")
-    count = td.tree.n
     sorted_bags = [tuple(sorted(b)) for b in td.bags]
-    # drop empty-bag leaves so every remaining leaf can start a Leaf node
-    alive = [True] * count
-    degree = [len(td.tree.adj[t]) for t in range(count)]
-    queue = [t for t in range(count) if degree[t] <= 1 and not sorted_bags[t]]
-    alive_count = count
-    while queue:
-        t = queue.pop()
-        if not alive[t] or alive_count == 1:
-            continue
-        alive[t] = False
-        alive_count -= 1
-        for s in td.tree.adj[t]:
-            if alive[s]:
-                degree[s] -= 1
-                if degree[s] <= 1 and not sorted_bags[s]:
-                    queue.append(s)
-    # degree[t] now counts the alive neighbours of every alive t; the root
-    # is the lowest-numbered alive node of maximum degree
-    top_degree = max(d for d, a in zip(degree, alive) if a)
-    root = next(t for t in range(count) if alive[t] and degree[t] == top_degree)
+    root, _, children, order = root_decomposition(td)
     builder = _NiceBuilder(g.n)
-    # post-order over the pruned decomposition tree, iteratively
     built: dict[int, int] = {}
-    stack: list[tuple[int, int, bool]] = [(root, -1, False)]
-    while stack:
-        t, parent, expanded = stack.pop()
-        if not expanded:
-            stack.append((t, parent, True))
-            stack.extend(
-                (s, t, False) for s in td.tree.adj[t] if s != parent and alive[s]
-            )
-            continue
+    for t in order:
         bag = sorted_bags[t]
         node = -1
-        for s in td.tree.adj[t]:
-            if s == parent or not alive[s]:
-                continue
+        for s in children[t]:
             side = builder.chain(built[s], sorted_bags[s], bag)
             node = side if node < 0 else builder.add(JOIN, -1, bag, (node, side))
         built[t] = node if node >= 0 else builder.leaf_chain(bag)

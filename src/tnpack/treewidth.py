@@ -1,5 +1,5 @@
-"""Dynamic program computing a maximum two-neighbour packing over a nice
-tree decomposition.
+"""Dynamic program computing a maximum two-neighbour packing over a tree
+decomposition.
 
 Per bag vertex a state records whether the vertex is chosen and how many
 chosen vertices its closed neighbourhood contains so far; the admissible
@@ -8,9 +8,19 @@ combinations are (out,0), (out,1), (out,2), (in,1), (in,2), encoded as digits
 5**|bag| states to the best partial packing size, or to -1 (NEG) when the
 state is infeasible.
 
+The program runs on the decomposition's own bags, plain or nice, in one
+pass. Nice form (leaf/introduce/forget/join) is the proof device, not a
+structure the program builds: each bag-to-bag edge is one chain of the
+forget and introduce transitions make_nice would put there, a childless
+bag starts from a leaf of its lowest vertex, a bag's sides are joined in
+child order, and a plain decomposition's root is drained to its lowest
+vertex. A chain is keyed by its edge signature (sizes, which vertices the
+bags share, the parent's adjacency), computed for every edge in one numpy
+pass, and by its child shape; a 100k-vertex random tree has 99,999 bags
+but only a few hundred distinct chains.
+
 Taken up to an additive constant, the tables of a decomposition fall into
-few distinct shapes (a 100k-vertex random tree has about 310k nodes and a
-few hundred shapes), so the evaluator stores a shape id and an offset per
+few distinct shapes, so the evaluator stores a shape id and an offset per
 node. A shape is a table shifted so that state 0 holds 0; state 0 (every
 bag vertex unchosen with count 0, the empty packing) is always feasible.
 A shape is one contiguous float64 array with -inf at infeasible states:
@@ -30,12 +40,14 @@ splits of every state, grouped by state in canonical order.
 Witnesses are reconstructed by one root-to-leaves trace that reads the same
 programs. Its choices (the child state of an introduce, the lowest forget
 digit, the first optimal join split in canonical order) do not depend on
-offsets, so each is derived once per (transition, state) from the shapes.
+offsets, so each is derived once per (transition, state) from the shapes,
+and each chain is replayed once per (chain, state), last step first.
 """
 
 from __future__ import annotations
 
 import gc
+from itertools import chain
 
 import numpy as np
 
@@ -46,9 +58,11 @@ from .decomposition import (
     LEAF,
     NiceTreeDecomposition,
     TreeDecomposition,
+    check_decomposition,
     decompose_heuristic,
     decompose_tree,
-    make_nice,
+    make_nice,  # noqa: F401  (perfbench/spans.py traces it here; solve does not call it)
+    root_decomposition,
     validate,
 )
 from .errors import PreconditionError
@@ -220,7 +234,7 @@ def _join_pairs(size: int, adj_masks: tuple[int, ...], s: int):
     read from the program the join rule evaluates."""
     idx1, idx2, starts, states, bcard = _join_program(size, adj_masks)
     card = int(bcard[s])
-    i = int(np.searchsorted(states, s))
+    i = int(states.searchsorted(s))
     if i == len(states) or states[i] != s:
         return card, []
     hi = starts[i + 1] if i + 1 < len(starts) else len(idx1)
@@ -228,43 +242,10 @@ def _join_pairs(size: int, adj_masks: tuple[int, ...], s: int):
     return card, list(zip(idx1[lo:hi].tolist(), idx2[lo:hi].tolist()))
 
 
-def _nbr_mask(bag, v, adj) -> int:
-    """Bit q set when the q-th vertex of ``bag`` other than ``v`` is a
-    neighbour of ``v``: the neighbour mask of an introduce signature.
-
-    Each test scans the shorter of the two adjacency tuples, so a vertex of
-    high degree costs no more per bag than a leaf."""
-    nbrs = adj[v]
-    mask = 0
-    q = 0
-    for u in bag:
-        if u != v:
-            if (u in nbrs) if len(nbrs) <= len(adj[u]) else (v in adj[u]):
-                mask |= 1 << q
-            q += 1
-    return mask
-
-
-def _join_adj_masks(ntd: NiceTreeDecomposition, t: int, g: Graph) -> tuple[int, ...]:
-    """Per bag position, the mask of its neighbours' positions in the bag;
-    each pair is tested once, on the shorter adjacency tuple."""
-    bag = ntd.bags[t]
-    adj = g.adj
-    masks = [0] * len(bag)
-    for i, u in enumerate(bag):
-        nbrs = adj[u]
-        for j in range(i + 1, len(bag)):
-            w = bag[j]
-            if (w in nbrs) if len(nbrs) <= len(adj[w]) else (u in adj[w]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return tuple(masks)
-
-
 def _forget_rule(ct: np.ndarray, pos: int) -> np.ndarray:
     """Forget: per parent state, the best of the five child entries that
     extend it by a digit at ``pos``."""
-    return ct.reshape(-1, 5, _POW5[pos]).max(axis=1).ravel()
+    return np.maximum.reduce(ct.reshape(-1, 5, _POW5[pos]), axis=1).ravel()
 
 
 def _introduce_rule(ct: np.ndarray, size: int, pos: int, nbr_mask: int) -> np.ndarray:
@@ -281,7 +262,8 @@ def _join_rule(
     """Join: per state, the best sum of child entries over all count splits,
     minus the double-counted |B|."""
     idx1, idx2, starts, states, bcard = _join_program(size, adj_masks)
-    new = np.full(_POW5[size], -np.inf)
+    new = np.empty(_POW5[size])
+    new.fill(-np.inf)
     # state 0 always has the split (0, 0), so the program is never empty
     new[states] = np.maximum.reduceat(lt[idx1] + rt[idx2], starts) - bcard[states]
     return new
@@ -315,17 +297,30 @@ def _transition(key: tuple, shapes: list, shape_ids: dict) -> tuple:
 
 
 class DPTables:
-    """What compute_tables returns: per node a transition id, a shape id
-    and an offset; ``tables[t]`` materializes node t's table."""
+    """What compute_tables returns.
 
-    __slots__ = ("shapes", "transitions", "node_transition", "node_shape", "offsets")
+    Per node of the rooted decomposition: a shape id and an offset, the
+    chain that carries its table to its parent's bag (the root's chain
+    drains the root bag to its lowest vertex, or is empty on a nice
+    decomposition), the chain that builds a childless node's table from a
+    leaf, and the join cascade of a node with several children.
+    ``tables[t]`` materializes node t's table.
+    """
 
-    def __init__(self, shapes, transitions, node_transition, node_shape, offsets):
-        self.shapes = shapes
-        self.transitions = transitions
-        self.node_transition = node_transition
-        self.node_shape = node_shape
-        self.offsets = offsets
+    __slots__ = (
+        "shapes",
+        "transitions",
+        "chains",
+        "node_shape",
+        "offsets",
+        "root",
+        "children",
+        "vertices",
+        "up_chain",
+        "leaf_chain",
+        "joins",
+        "steps",
+    )
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -339,49 +334,241 @@ class DPTables:
         return self.shapes[self.node_shape[t]]
 
 
-def compute_tables(g: Graph, ntd: NiceTreeDecomposition) -> DPTables:
-    """Evaluate the whole decomposition bottom-up, each distinct transition
-    once."""
-    count = ntd.node_count
-    node_transition = [0] * count
-    node_shape = [0] * count
-    offsets = [0] * count
-    shapes: list[np.ndarray] = []
-    shape_ids: dict[bytes, int] = {}
-    transitions: list[tuple] = []
-    transition_ids: dict[tuple, int] = {}
-    kinds = ntd.kinds
-    bags = ntd.bags
-    payloads = ntd.payloads
-    children = ntd.children
-    adj = g.adj
-    for t in ntd.order:
-        kind = kinds[t]
-        if kind == FORGET:
-            child = children[t][0]
-            key = (FORGET, bags[child].index(payloads[t]), node_shape[child])
-            offset = offsets[child]
-        elif kind == INTRODUCE:
-            bag = bags[t]
-            v = payloads[t]
-            child = children[t][0]
-            key = (INTRODUCE, len(bag), bag.index(v), _nbr_mask(bag, v, adj), node_shape[child])
-            offset = offsets[child]
-        elif kind == LEAF:
-            key = _LEAF_KEY
-            offset = 0
-        else:
-            left, right = children[t]
-            key = (JOIN, _join_adj_masks(ntd, t, g), node_shape[left], node_shape[right])
-            offset = offsets[left] + offsets[right]
+# chain steps per edge signature, cached across solves like the introduce
+# programs. A solve brings few distinct signatures, but a process that
+# solves many graphs meets many, so the cache is a FIFO of bounded length.
+_chain_cache: dict = {}
+_CHAIN_CACHE_SIZE = 1 << 14
+_position_cache: dict = {}
+
+
+def _chain_template(sig: bytes) -> tuple:
+    """The forget/introduce steps that turn a child bag into its parent's:
+    ``(prefixes, positions, parent adjacency masks)``.
+
+    ``sig`` holds the int64 fields (child size, child-in-parent mask,
+    parent-in-child mask, parent size, parent adjacency masks padded with
+    zeros). The child's vertices that leave are forgotten first, lowest
+    first, then the parent's new vertices are introduced, lowest first.
+    Each prefix is a transition key without its child shape id;
+    ``positions`` holds the parent position of each introduced vertex and
+    -1 for a forget."""
+    cached = _chain_cache.get(sig)
+    if cached is None:
+        size, kept, present, parent_size, *adj_masks = np.frombuffer(sig, np.int64).tolist()
+        adj_masks = tuple(adj_masks[:parent_size])
+        prefixes = []
+        positions = []
+        for i in range(size):
+            if not kept >> i & 1:
+                prefixes.append((FORGET, i - len(prefixes)))
+                positions.append(-1)
+        for j, mask in enumerate(adj_masks):
+            if present >> j & 1:
+                continue
+            # bit q of the introduce mask is the q-th present vertex
+            nbr = 0
+            q = 0
+            for k in range(parent_size):
+                if present >> k & 1:
+                    nbr |= (mask >> k & 1) << q
+                    q += 1
+            below = present & ((1 << j) - 1)
+            prefixes.append((INTRODUCE, q + 1, below.bit_count(), nbr))
+            positions.append(j)
+            present |= 1 << j
+        if len(_chain_cache) >= _CHAIN_CACHE_SIZE:
+            del _chain_cache[next(iter(_chain_cache))]
+        cached = _chain_cache[sig] = (tuple(prefixes), tuple(positions), adj_masks)
+    return cached
+
+
+def _positions(width: int):
+    """Per bag width: the positions, their bits, the weights that turn a
+    (width x width) table of equal child and parent positions into the
+    child-in-parent and parent-in-child masks, and the dtype of one
+    signature row as a single bytes value."""
+    cached = _position_cache.get(width)
+    if cached is None:
+        positions = np.arange(width, dtype=np.int64)
+        bits = 1 << positions
+        # a vertex sits at one position of each bag, so summing weights
+        # over the equal pairs sets one bit per shared vertex
+        weights = np.stack((np.repeat(bits, width), np.tile(bits, width)), axis=1)
+        row = np.dtype((np.void, 8 * (4 + width)))
+        cached = _position_cache[width] = (positions, bits, weights, row)
+    return cached
+
+
+def _edge_keys(g: Graph) -> np.ndarray:
+    """Sorted keys u * (n + 1) + v of every adjacent ordered pair, then a
+    sentinel above every key of two vertices or padding n."""
+    n = g.n
+    degrees = np.fromiter(chain(map(len, g.adj), (1,)), np.int64, n + 1)
+    keys = np.arange(0, (n + 1) ** 2, n + 1, dtype=np.int64).repeat(degrees)
+    keys += np.fromiter(chain(chain.from_iterable(g.adj), (n + 1,)), np.int64, 2 * g.m + 1)
+    return keys
+
+
+def _signatures(g: Graph, bags, parent) -> tuple:
+    """Every chain signature of a rooted decomposition in one numpy pass.
+
+    A node's edge signature describes the chain from its bag to its
+    parent's; its leaf signature describes the chain from a leaf of its
+    lowest vertex to its bag. Bags are padded with n to one (nodes x width)
+    array and sorted per row, and bag adjacency comes from one searchsorted
+    over the graph's edge keys. A signature is one row of int64 fields (see
+    _chain_template), keyed by its bytes. Returns the sorted padded bags and
+    each node's edge and leaf signature.
+    """
+    count = len(bags)
+    n = g.n
+    sizes = np.fromiter(map(len, bags), np.int64, count)
+    width = int(np.maximum.reduce(sizes))
+    positions, bits, weights, row = _positions(width)
+    valid = positions < sizes[:, None]
+    vertices = np.empty((count, width), dtype=np.int64)
+    vertices.fill(n)
+    vertices[valid] = np.fromiter(chain.from_iterable(bags), np.int64)
+    vertices.sort(axis=1)
+    keys = _edge_keys(g)
+    # the keys of every ordered pair of bag positions; padding matches none
+    pair_keys = vertices[:, :, None] * (n + 1) + vertices[:, None, :]
+    adjacent = keys[keys.searchsorted(pair_keys)] == pair_keys
+    # rows[0] holds the edge signatures, rows[1] the leaf signatures
+    rows = np.empty((2, count, 4 + width), dtype=np.int64)
+    rows[1, :, :3] = 1
+    rows[1, :, 3] = sizes
+    rows[1, :, 4:] = adjacent @ bits
+    # parent -1 (the root, a pruned node) reads the last bag: an edge
+    # signature compute_tables never looks up
+    ups = np.fromiter(parent, np.int64, count)
+    same = vertices[:, :, None] == vertices[ups][:, None, :]
+    same &= valid[:, :, None]
+    rows[0, :, 0] = sizes
+    rows[0, :, 1:3] = same.reshape(count, -1) @ weights
+    rows[0, :, 3:] = rows[1, ups, 3:]
+    sig_keys = rows.view(row).ravel().tolist()
+    return vertices, sig_keys[:count], sig_keys[count:]
+
+
+_NO_STEPS = ((), (), ())
+
+
+def _run_chain(template, sid, transitions, transition_ids, shapes, shape_ids) -> tuple:
+    """Apply a chain's steps to shape ``sid``, each distinct step once per
+    solve: ``(template, step transition ids, shape id, total shift)``."""
+    tids = []
+    shift = 0
+    for prefix in template[0]:
+        key = prefix + (sid,)
         tid = transition_ids.setdefault(key, len(transitions))
         if tid == len(transitions):
             transitions.append(_transition(key, shapes, shape_ids))
-        record = transitions[tid]
-        node_transition[t] = tid
-        node_shape[t] = record[1]
-        offsets[t] = offset + record[2]
-    return DPTables(shapes, transitions, node_transition, node_shape, offsets)
+        _, sid, step_shift = transitions[tid]
+        shift += step_shift
+        tids.append(tid)
+    return template, tuple(tids), sid, shift
+
+
+def compute_tables(g: Graph, td: TreeDecomposition | NiceTreeDecomposition) -> DPTables:
+    """Evaluate a decomposition bottom-up in one pass over its bags.
+
+    A plain decomposition is rooted by root_decomposition; a nice one is
+    already rooted, and its chains have at most one step. Each bag-to-bag
+    edge is one chain, evaluated once per (signature, child shape); a
+    childless bag starts from a leaf of its lowest vertex, the sides of a
+    bag with several children are joined in child order, and a plain
+    decomposition's root is drained to its lowest vertex. These are the
+    transitions of make_nice's nice form, without building it.
+    """
+    if isinstance(td, NiceTreeDecomposition):
+        root, parent, children, order = td.root, td.parent, td.children, td.order
+    else:
+        root, parent, children, order = root_decomposition(td)
+    bags = td.bags
+    vertices, up_sig, leaf_sig = _signatures(g, bags, parent)
+    count = len(parent)
+    node_shape = [0] * count
+    offsets = [0] * count
+    up_chain = [-1] * count
+    leaf_chain = [-1] * count
+    joins: dict[int, list[int]] = {}
+    shapes: list[np.ndarray] = []
+    shape_ids: dict[bytes, int] = {}
+    transitions = [_transition(_LEAF_KEY, shapes, shape_ids)]
+    transition_ids = {_LEAF_KEY: 0}
+    leaf_sid = transitions[0][1]
+    chains: list[tuple] = []
+    chain_ids: dict[tuple[bytes, int], int] = {}
+    steps = 0
+    for t in order:
+        kids = children[t]
+        if not kids:
+            key = (leaf_sig[t], leaf_sid)
+            cid = chain_ids.get(key)
+            if cid is None:
+                cid = chain_ids[key] = len(chains)
+                chains.append(
+                    _run_chain(_chain_template(key[0]), leaf_sid, transitions, transition_ids, shapes, shape_ids)
+                )
+            leaf_chain[t] = cid
+            _, tids, node_shape[t], offsets[t] = chains[cid]
+            steps += 1 + len(tids)
+            continue
+        cascade = None
+        sid = -1
+        for c in kids:
+            key = (up_sig[c], node_shape[c])
+            cid = chain_ids.get(key)
+            if cid is None:
+                cid = chain_ids[key] = len(chains)
+                chains.append(
+                    _run_chain(_chain_template(key[0]), key[1], transitions, transition_ids, shapes, shape_ids)
+                )
+            up_chain[c] = cid
+            template, tids, side, shift = chains[cid]
+            steps += len(tids)
+            if sid < 0:
+                sid = side
+                offset = offsets[c] + shift
+                continue
+            # every edge signature holds its parent's adjacency masks
+            jkey = (JOIN, template[2], sid, side)
+            tid = transition_ids.setdefault(jkey, len(transitions))
+            if tid == len(transitions):
+                transitions.append(_transition(jkey, shapes, shape_ids))
+            if cascade is None:
+                cascade = joins[t] = []
+            cascade.append(tid)
+            sid = transitions[tid][1]
+            offset += offsets[c] + shift
+            steps += 1
+        node_shape[t] = sid
+        offsets[t] = offset
+    root_size = len(bags[root])
+    if root_size > 1 and not isinstance(td, NiceTreeDecomposition):
+        # forget all but the lowest vertex: a one-vertex parent bag
+        drain = _chain_template(np.array([root_size, 1, 1, 1, 0], dtype=np.int64).tobytes())
+    else:
+        drain = _NO_STEPS
+    up_chain[root] = len(chains)
+    chains.append(_run_chain(drain, node_shape[root], transitions, transition_ids, shapes, shape_ids))
+    steps += len(drain[0])
+    tables = DPTables()
+    tables.shapes = shapes
+    tables.transitions = transitions
+    tables.chains = chains
+    tables.node_shape = node_shape
+    tables.offsets = offsets
+    tables.root = root
+    tables.children = children
+    tables.vertices = vertices
+    tables.up_chain = up_chain
+    tables.leaf_chain = leaf_chain
+    tables.joins = joins
+    tables.steps = steps
+    return tables
 
 
 def _pick(record: tuple, shapes: list, s: int):
@@ -402,65 +589,108 @@ def _pick(record: tuple, shapes: list, s: int):
         _, pos, child = key
         low = _POW5[pos]
         base = (s // low) * (5 * low) + s % low
-        hits = np.flatnonzero(shapes[child][base : base + 5 * low : low] == value + shift)
-        if not hits.size:
-            raise RuntimeError("inconsistent forget table")
-        return base + int(hits[0]) * low
+        entries = shapes[child][base : base + 5 * low : low].tolist()
+        try:
+            return base + entries.index(value + shift) * low
+        except ValueError:
+            raise RuntimeError("inconsistent forget table") from None
     _, adj_masks, left, right = key
     lt = shapes[left]
     rt = shapes[right]
     card, pairs = _join_pairs(len(adj_masks), adj_masks, s)
+    target = value + card
     for s1, s2 in pairs:
-        if lt[s1] + rt[s2] - card == value:
+        if lt[s1] + rt[s2] == target:
             return s1, s2
     raise RuntimeError("inconsistent join table")
 
 
+def _replay(tables: DPTables, cid: int, state: int, picks: dict, replays: dict) -> tuple:
+    """Chain ``cid`` traced back from ``state`` at its end: ``(start state,
+    parent positions of the chosen introduced vertices)``, from the picks of
+    its steps, last step first."""
+    (_, positions, _), tids, _, _ = tables.chains[cid]
+    transitions = tables.transitions
+    shapes = tables.shapes
+    chosen = []
+    s = state
+    for i in range(len(tids) - 1, -1, -1):
+        tid = tids[i]
+        pick = picks.get((tid, s))
+        if pick is None:
+            pick = picks[tid, s] = _pick(transitions[tid], shapes, s)
+        if positions[i] < 0:
+            s = pick
+        else:
+            s, taken = pick
+            if taken:
+                chosen.append(positions[i])
+    result = replays[cid, state] = (s, tuple(chosen))
+    return result
+
+
 def trace_entry(
-    g: Graph, ntd: NiceTreeDecomposition, tables: DPTables, node: int, state: int
+    g: Graph,
+    td: TreeDecomposition | NiceTreeDecomposition,
+    tables: DPTables,
+    node: int,
+    state: int,
 ) -> frozenset:
-    """Packing realizing a finite table entry, rebuilt top-down with one
-    derived choice per (transition, state); deterministic (first candidate
-    in canonical order)."""
+    """Packing realizing a finite entry of node ``node``'s table, rebuilt
+    top-down; ``tables`` is compute_tables(g, td). Every choice is derived
+    once per (transition, state) and every chain replayed once per (chain,
+    state); the choices are deterministic (first candidate in canonical
+    order)."""
     shapes = tables.shapes
     if shapes[tables.node_shape[node]][state] == -np.inf:
         raise ValueError(f"entry {state} at node {node} is infeasible")
-    chosen: set[int] = set()
-    kinds = ntd.kinds
-    payloads = ntd.payloads
-    children = ntd.children
+    children = tables.children
+    up_chain = tables.up_chain
+    leaf_chain = tables.leaf_chain
+    joins = tables.joins
     transitions = tables.transitions
-    node_transition = tables.node_transition
+    width = tables.vertices.shape[1]
     picks: dict[tuple[int, int], object] = {}
+    replays: dict[tuple[int, int], tuple] = {}
+    # chosen vertices as flat indices into tables.vertices
+    chosen: list[int] = []
     stack = [(node, state)]
     while stack:
         t, s = stack.pop()
-        # forget and introduce nodes have one child, so the trace follows
-        # each chain without going through the stack
+        # a node with one child hands its state down without the stack
         while True:
-            kind = kinds[t]
-            if kind == LEAF:
-                if s == 3:
-                    chosen.add(payloads[t])
+            kids = children[t]
+            if not kids:
+                cid = leaf_chain[t]
+                s, positions = replays.get((cid, s)) or _replay(tables, cid, s, picks, replays)
+                if s == 3:  # the leaf's vertex, the bag's lowest, is chosen
+                    positions += (0,)
+                if positions:
+                    chosen += [t * width + j for j in positions]
                 break
-            tid = node_transition[t]
-            pick = picks.get((tid, s))
-            if pick is None:
-                pick = picks[tid, s] = _pick(transitions[tid], shapes, s)
-            if kind == FORGET:
-                t, s = children[t][0], pick
-                continue
-            if kind == INTRODUCE:
-                s, taken = pick
-                if taken:
-                    chosen.add(payloads[t])
-                t = children[t][0]
-                continue
-            left, right = children[t]
-            stack.append((left, pick[0]))
-            stack.append((right, pick[1]))
-            break
-    return frozenset(chosen)
+            if len(kids) > 1:
+                cascade = joins[t]
+                for i in range(len(cascade) - 1, -1, -1):
+                    tid = cascade[i]
+                    pick = picks.get((tid, s))
+                    if pick is None:
+                        pick = picks[tid, s] = _pick(transitions[tid], shapes, s)
+                    s, right = pick
+                    c = kids[i + 1]
+                    cid = up_chain[c]
+                    right, positions = replays.get((cid, right)) or _replay(
+                        tables, cid, right, picks, replays
+                    )
+                    if positions:
+                        chosen += [t * width + j for j in positions]
+                    stack.append((c, right))
+            c = kids[0]
+            cid = up_chain[c]
+            s, positions = replays.get((cid, s)) or _replay(tables, cid, s, picks, replays)
+            if positions:
+                chosen += [t * width + j for j in positions]
+            t = c
+    return frozenset(tables.vertices.ravel()[chosen].tolist())
 
 
 def solve(
@@ -471,8 +701,9 @@ def solve(
     """Maximum two-neighbour packing via the decomposition dynamic program.
 
     Without a decomposition one is built (exact for forests, min-fill
-    otherwise). A caller-supplied decomposition is validated first. The
-    returned witness is always re-checked against the packing definition.
+    otherwise). A caller-supplied decomposition, plain or nice, is
+    validated first. The returned witness is always re-checked against the
+    packing definition.
     """
     if g.n == 0:
         return SolveResult(0, frozenset(), 0)
@@ -483,16 +714,7 @@ def solve(
     if gc_was_enabled:
         gc.disable()
     try:
-        if ntd is None:
-            if td is not None:
-                ntd = make_nice(td, g)  # make_nice validates
-            else:
-                try:
-                    base = decompose_tree(g)
-                except ValueError:  # not a forest
-                    base = decompose_heuristic(g)
-                ntd = make_nice(base, g, pre_validated=True)
-        else:
+        if ntd is not None:
             if ntd.n != g.n:
                 raise PreconditionError(
                     f"decomposition is over n={ntd.n}, graph has n={g.n}"
@@ -502,19 +724,31 @@ def solve(
                 problems = [str(v) for v in validate(g, ntd.to_tree_decomposition())]
             if problems:
                 raise PreconditionError(f"invalid nice decomposition: {problems[0]}")
-        tables = compute_tables(g, ntd)
-        root_shape = tables.shape(ntd.root)
+            td = ntd
+        elif td is not None:
+            check_decomposition(g, td)
+        else:
+            try:
+                td = decompose_tree(g)
+            except ValueError:  # not a forest
+                td = decompose_heuristic(g)
+        tables = compute_tables(g, td)
+        root = tables.root
+        drain = tables.up_chain[root]
+        _, _, sid, shift = tables.chains[drain]
+        top = tables.shapes[sid]
         # state 0 of every shape holds 0, so the maximum is finite
-        state = int(root_shape.argmax())
-        value = int(root_shape[state]) + tables.offsets[ntd.root]
-        witness = trace_entry(g, ntd, tables, ntd.root, state)
-        node_count = ntd.node_count
+        best = int(top.argmax())
+        value = int(top[best]) + tables.offsets[root] + shift
+        state = _replay(tables, drain, best, {}, {})[0]
+        witness = trace_entry(g, td, tables, root, state)
+        steps = tables.steps
     finally:
         # free the tables and the decomposition while the collector is
         # still off, so that its first sweep does not walk them
-        tables = root_shape = ntd = base = None
+        tables = top = td = ntd = None
         if gc_was_enabled:
             gc.enable()
     if len(witness) != value or not is_two_neighbour_packing(g, witness):
         raise RuntimeError("dynamic program produced an invalid witness")
-    return SolveResult(value, witness, node_count)
+    return SolveResult(value, witness, steps)

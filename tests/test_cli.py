@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import tnpack
-from tnpack import cli, duality, instances, treewidth
+from tnpack import cli, decomposition, duality, instances, treewidth
 from tnpack.cli import main
+from tnpack.decomposition import validate
 from tnpack.duality import certify_tree
 from tnpack.graph import Graph, RootedTree, read_graph, write_graph
 from tnpack.instances import cycle, empty, path, random_tree
@@ -119,6 +120,30 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", p6, "--method", "dp", "--td", str(td))
         assert code == 3 and "condition" in err
 
+    def test_td_over_more_vertices_rejected(self, capsys, tmp_path):
+        graph = tmp_path / "p3.gr"
+        graph.write_text("p tw 3 2\n1 2\n2 3\n")
+        td = tmp_path / "wide.td"
+        td.write_text("s td 2 2 5\nb 1 1 2\nb 2 2 5\n1 2\n")
+        code, out, err = run_cli(capsys, "solve", str(graph), "--method", "dp", "--td", str(td))
+        assert code == 3 and out == ""
+        assert "decomposition is over n=5, graph has n=3" in err
+
+    def test_supplied_td_validated_once(self, capsys, p6, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(g, td):
+            calls.append(td)
+            return validate(g, td)
+
+        monkeypatch.setattr(decomposition, "validate", counted)
+        monkeypatch.setattr(treewidth, "validate", counted)
+        td = tmp_path / "p6.td"
+        td.write_text("s td 5 2 6\nb 1 1 2\nb 2 2 3\nb 3 3 4\nb 4 4 5\nb 5 5 6\n1 2\n2 3\n3 4\n4 5\n")
+        code, out, _ = run_cli(capsys, "solve", p6, "--method", "dp", "--td", str(td))
+        assert code == 0 and report(out)["value"] == 4
+        assert len(calls) == 1
+
     def test_deterministic_output(self, capsys, p6):
         _, first, _ = run_cli(capsys, "solve", p6, "--method", "dp")
         _, second, _ = run_cli(capsys, "solve", p6, "--method", "dp")
@@ -146,15 +171,21 @@ class TestSolve:
         assert "invalid witness" in err
 
 
-def fresh_process_report(*args) -> tuple[int, dict]:
+def fresh_process_report(*args, module="tnpack.cli") -> tuple[int, dict]:
     src = str(Path(tnpack.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-m", "tnpack.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     return done.returncode, report(done.stdout)
+
+
+def test_python_m_tnpack_matches_main(capsys, p6):
+    code, out, _ = run_cli(capsys, "solve", p6)
+    assert code == 0
+    assert fresh_process_report("solve", p6, module="tnpack") == (code, report(out))
 
 
 class TestRepeatedCalls:

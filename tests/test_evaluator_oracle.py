@@ -12,6 +12,7 @@ witness of the evaluator must equal theirs.
 
 import pytest
 
+import tnpack.decomposition as decomposition
 import tnpack.treewidth as tw
 from tnpack.decomposition import (
     FORGET,
@@ -19,11 +20,12 @@ from tnpack.decomposition import (
     JOIN,
     LEAF,
     NiceTreeDecomposition,
+    TreeDecomposition,
     decompose_heuristic,
     decompose_tree,
     make_nice,
 )
-from tnpack.graph import Graph
+from tnpack.graph import Graph, disjoint_union
 from tnpack.instances import cycle, k_c4, random_tree
 from tnpack.treewidth import NEG
 
@@ -291,25 +293,130 @@ def test_every_traced_entry_matches(dp_suite):
 
 
 def test_signature_masks_match(dp_suite):
+    # on a nice decomposition every chain has at most one step, so each
+    # introduce and join transition key comes straight from the signature
+    # pass and must hold the reference masks of its node
     graphs = [g for g in dp_suite if g.n] + [random_tree(300, seed=33000), cycle(9)]
     for g in graphs:
         ntd = nice_for(g)
+        tables = tw.compute_tables(g, ntd)
         for t in range(ntd.node_count):
             bag = ntd.bags[t]
-            if ntd.kinds[t] == JOIN:
-                assert tw._join_adj_masks(ntd, t, g) == reference_join_adj_masks(ntd, t, g)
-            elif ntd.kinds[t] == INTRODUCE:
+            kind = ntd.kinds[t]
+            if kind == JOIN:
+                (tid,) = tables.joins[t]
+                assert tables.transitions[tid][0][1] == reference_join_adj_masks(ntd, t, g)
+            elif kind in (INTRODUCE, FORGET):
+                child = ntd.children[t][0]
+                (tid,) = tables.chains[tables.up_chain[child]][1]
+                key = tables.transitions[tid][0]
                 v = ntd.payloads[t]
-                assert tw._nbr_mask(bag, v, g.adj) == reference_nbr_mask(bag, v, g.adj[v])
+                if kind == INTRODUCE:
+                    want = (INTRODUCE, len(bag), bag.index(v), reference_nbr_mask(bag, v, g.adj[v]))
+                else:
+                    want = (FORGET, ntd.bags[child].index(v))
+                assert key[:-1] == want
 
 
 def test_each_distinct_transition_once():
     g = random_tree(20000, seed=32000)
-    ntd = nice_for(g)
-    tables = tw.compute_tables(g, ntd)
-    assert len(set(tables.node_transition)) == len(tables.transitions)
-    assert len(tables.transitions) <= 0.05 * ntd.node_count
+    td = decompose_tree(g)
+    tables = tw.compute_tables(g, td)
+    keys = [record[0] for record in tables.transitions]
+    assert len(set(keys)) == len(keys)
+    # one chain per (signature, child shape): each signature has its own
+    # cached template, and a chain starts from the child shape of its first
+    # step (or ends on it, with no steps)
+    starts = {
+        (id(template), tables.transitions[tids[0]][0][-1] if tids else sid)
+        for template, tids, sid, _ in tables.chains
+    }
+    assert len(starts) == len(tables.chains)
+    assert len(tables.chains) <= 0.05 * td.tree.n
     assert len(tables.shapes) <= len(tables.transitions)
+
+
+def test_chain_cache_stays_bounded(monkeypatch):
+    monkeypatch.setattr(tw, "_chain_cache", {})
+    monkeypatch.setattr(tw, "_CHAIN_CACHE_SIZE", 3)
+    for g in (cycle(7), k_c4(2).graph, random_tree(50, seed=37000)):
+        want = reference_solve(g, nice_for(g))[1:]
+        result = tw.solve(g)
+        assert (result.value, result.witness) == want
+        assert len(tw._chain_cache) <= 3
+
+
+# -- plain decompositions against their nice form ------------------------------
+
+
+def assert_plain_matches_nice(g: Graph, td: TreeDecomposition) -> None:
+    """solve on the plain decomposition gives the value and witness of the
+    reference evaluator on make_nice's form of it, after as many
+    transitions as that form has nodes."""
+    ntd = make_nice(td, g)
+    _, want_value, want_witness = reference_solve(g, ntd)
+    result = tw.solve(g, td=td)
+    assert (result.value, result.witness) == (want_value, want_witness)
+    assert result.steps == ntd.node_count
+
+
+def test_plain_matches_nice_on_dp_suite(dp_suite):
+    for g in dp_suite:
+        if g.n:
+            assert_plain_matches_nice(g, decompose_tree(g) if g.is_forest() else decompose_heuristic(g))
+
+
+@pytest.mark.parametrize("index", range(40))
+def test_plain_matches_nice_on_seeded_trees(index):
+    g = random_tree(TREE_SIZES[index] // 4 + 1, seed=34000 + index)
+    assert_plain_matches_nice(g, decompose_tree(g))
+
+
+@pytest.mark.parametrize("isolated", range(4))
+def test_plain_matches_nice_on_forests(isolated):
+    parts = [random_tree(30, seed=35000 + isolated), random_tree(9, seed=35100), Graph(isolated)]
+    g = disjoint_union(parts)[0]
+    assert_plain_matches_nice(g, decompose_tree(g))
+
+
+def test_plain_matches_nice_with_internal_empty_bag():
+    # node 0 has an empty bag and, once the empty leaf 5 is pruned, three
+    # children: it is the root, and its sides meet in a join cascade
+    g = Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
+    tree = Graph(7, [(0, 1), (1, 2), (0, 3), (0, 4), (0, 5), (4, 6)])
+    td = TreeDecomposition(7, tree, [set(), {0, 1}, {1, 2}, {3, 4}, {5, 6}, set(), {6}])
+    root, _, children, _ = decomposition.root_decomposition(td)
+    assert root == 0 and len(children[0]) == 3
+    assert_plain_matches_nice(g, td)
+
+
+def test_plain_matches_nice_with_wide_root():
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
+    tree = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    td = TreeDecomposition(5, tree, [{0, 1, 2}, {0, 1}, {0, 2}, {0, 3}, {3, 4}])
+    assert decomposition.root_decomposition(td)[0] == 0
+    assert_plain_matches_nice(g, td)
+
+
+def test_plain_matches_nice_on_20k_tree():
+    g = random_tree(20000, seed=36000)
+    td = decompose_tree(g)
+    want = tw.solve(g, ntd=make_nice(td, g))
+    result = tw.solve(g, td=td)
+    assert (result.value, result.witness, result.steps) == (want.value, want.witness, want.steps)
+
+
+def test_solve_builds_no_nice_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_nice called")
+
+    g = k_c4(2).graph
+    want = reference_solve(g, nice_for(g))[1:]
+    monkeypatch.setattr(tw, "make_nice", refuse)
+    monkeypatch.setattr(decomposition, "make_nice", refuse)
+    result = tw.solve(g)
+    assert (result.value, result.witness) == want
+    assert tw.solve(g, td=decompose_heuristic(g)).value == want[0]
 
 
 def test_shapes_hold_zero_at_state_zero(dp_suite):
