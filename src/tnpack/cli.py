@@ -3,7 +3,7 @@
 Reports are JSON on stdout (deterministic apart from the time_ms field);
 diagnostics go to stderr. Exit codes: 0 verified result, 1 failed
 verification, 2 unparsable input, 3 violated precondition or bad parameters,
-4 size-cap refusal.
+4 size-cap refusal (including running out of memory).
 """
 
 from __future__ import annotations
@@ -95,9 +95,14 @@ def cmd_duality_report(args) -> int:
     g = _load_graph(args.graph)
     started = time.perf_counter()
     report = {"instance": _instance_info(args.graph, g)}
-    if g.n >= 1 and g.m == g.n - 1 and g.is_connected():
+    try:
+        # the constructor decides tree-ness in its one BFS
+        tree = RootedTree(g, 0)
+    except ValueError:
+        tree = None  # empty, or not a tree: the brute-force route
+    if tree is not None:
         # certify_tree has checked both witnesses against its optimum
-        cert = certify_tree(RootedTree(g, 0))
+        cert = certify_tree(tree)
         roman_value, roman_witness = cert.value, cert.rdf
         tnp_value, packing = cert.value, cert.packing
         verified = cert.verified
@@ -321,6 +326,10 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNVERIFIED
+    except MemoryError:
+        # an input too large for this machine is a size-cap refusal
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PreconditionError
 from .graph import Graph, RootedTree, VertexSet
 from .oracles import RomanFunction, SolveResult, is_roman_dominating, is_two_neighbour_packing
@@ -72,78 +74,92 @@ def roman_tree_dp(tree: RootedTree) -> SolveResult:
     Per vertex four states: labelled 2; labelled 1; labelled 0 and covered by
     a 2-child; labelled 0 and relying on the parent. A child may rely on its
     parent only below a 2, and the root may not rely on anyone.
+
+    Two flat passes over plain lists. The upward pass walks the postorder
+    and adds each child's contribution to its parent's accumulators; the
+    downward pass walks the BFS order and picks each child's state from its
+    parent's. Ties go to the lowest state and, for the child upgraded to 2,
+    to the first child in child order.
     """
     g = tree.graph
     n = g.n
-    cost = [(0, 0, 0, 0)] * n
+    parent = tree.parent
+    # accumulators, final once a vertex is reached in postorder: the cost
+    # of label 2; the children's best self-satisfied costs, which is the
+    # cost of "0, relying on the parent" and one less than that of label 1;
+    # and the cheapest switch of one child to label 2, with that child
+    two = [2] * n
+    free = [0] * n
+    upgrade = [_INF] * n  # a leaf keeps _INF: it cannot be covered from below
+    upgrade_child = [-1] * n
     for v in tree.postorder:
-        kids = tree.children[v]
-        two = 2
-        one = 1
-        free_sum = 0  # children take their best self-satisfied state
-        best_upgrade = _INF  # cheapest switch of one child to label 2
-        for c in kids:
-            cc = cost[c]
-            self_satisfied = min(cc[_TWO], cc[_ONE], cc[_ZERO_COVERED])
-            two += min(self_satisfied, cc[_ZERO_NEEDS_PARENT])
-            one += self_satisfied
-            free_sum += self_satisfied
-            best_upgrade = min(best_upgrade, cc[_TWO] - self_satisfied)
-        zero_covered = free_sum + best_upgrade if kids else _INF
-        cost[v] = (
-            min(two, _INF),
-            min(one, _INF),
-            min(zero_covered, _INF),
-            min(free_sum, _INF),
-        )
-    root_costs = cost[tree.root][:3]
-    value = min(root_costs)
-    labels = [0] * n
-    state_of = {tree.root: root_costs.index(value)}
-    for v in tree.postorder[::-1]:  # parents before children
-        state = state_of[v]
-        labels[v] = (2, 1, 0, 0)[state]
-        kids = tree.children[v]
-        if not kids:
+        p = parent[v]
+        if p < 0:
             continue
-        forced = -1
-        if state == _ZERO_COVERED:
-            # re-derive which child the upgrade went to
-            best_delta = _INF
-            for c in kids:
-                cc = cost[c]
-                delta = cc[_TWO] - min(cc[_TWO], cc[_ONE], cc[_ZERO_COVERED])
-                if delta < best_delta:
-                    best_delta = delta
-                    forced = c
-        for c in kids:
-            cc = cost[c]
-            if c == forced:
-                state_of[c] = _TWO
-                continue
-            options = (
-                (cc[_TWO], _TWO),
-                (cc[_ONE], _ONE),
-                (cc[_ZERO_COVERED], _ZERO_COVERED),
-            )
-            if state == _TWO:
-                options += ((cc[_ZERO_NEEDS_PARENT], _ZERO_NEEDS_PARENT),)
-            state_of[c] = min(options)[1]
-    f = RomanFunction(tuple(labels))
+        t = two[v]
+        f = free[v]
+        self_satisfied = t if t < f + 1 else f + 1
+        z = f + upgrade[v]
+        if z < self_satisfied:
+            self_satisfied = z
+        two[p] += f if f < self_satisfied else self_satisfied
+        free[p] += self_satisfied
+        # siblings arrive in reverse child order, so <= keeps the first
+        delta = t - self_satisfied
+        if delta <= upgrade[p]:
+            upgrade[p] = delta
+            upgrade_child[p] = v
+    root = tree.root
+    root_costs = (two[root], free[root] + 1, free[root] + upgrade[root])
+    value = min(root_costs)
+    state = [_TWO] * n
+    state[root] = root_costs.index(value)
+    for c in tree.postorder[-2::-1]:  # parents before children, root skipped
+        p = parent[c]
+        ps = state[p]
+        if ps == _ZERO_COVERED and upgrade_child[p] == c:
+            continue  # state[c] is already _TWO
+        best = two[c]
+        s = _TWO
+        f = free[c]
+        if f + 1 < best:
+            best = f + 1
+            s = _ONE
+        z = f + upgrade[c]
+        if z < best:
+            best = z
+            s = _ZERO_COVERED
+        if ps == _TWO and f < best:
+            s = _ZERO_NEEDS_PARENT
+        state[c] = s
+    f = RomanFunction(tuple([(2, 1, 0, 0)[s] for s in state]))
     if f.weight != value or not is_roman_dominating(g, f):
         raise RuntimeError("tree DP produced an inconsistent labelling")
     return SolveResult(value, f, n)
 
 
-def _two_cover(g: Graph, labels) -> list[int]:
-    """Per vertex u, the number of 2-labelled vertices in N[u]."""
-    two_cover = [0] * g.n
-    for v in range(g.n):
-        if labels[v] == 2:
-            two_cover[v] += 1
-            for u in g.adj[v]:
-                two_cover[u] += 1
-    return two_cover
+def _two_cover(g: Graph, two: np.ndarray) -> np.ndarray:
+    """Per vertex u, the number of 2-labelled vertices in N[u], from the
+    boolean mask of 2-labels."""
+    src, dst = g.arcs()
+    return np.bincount(src[two[dst]], minlength=g.n) + two
+
+
+def _child_arrays(tree: RootedTree) -> tuple[np.ndarray, np.ndarray]:
+    """Every non-root vertex and its parent, grouped by parent in increasing
+    order and in child order within a parent: the arcs of g.arcs() that
+    point from a parent to its child."""
+    src, dst = tree.graph.arcs()
+    parent = np.fromiter(tree.parent, np.int64, tree.graph.n)
+    down = parent[dst] == src
+    return dst[down], src[down]
+
+
+def _group_starts(groups: np.ndarray) -> np.ndarray:
+    """True where a sorted array of group ids starts a new group."""
+    starts = np.ones(len(groups), dtype=bool)
+    np.not_equal(groups[1:], groups[:-1], out=starts[1:])
+    return starts
 
 
 class _Normalizer:
@@ -167,7 +183,8 @@ class _Normalizer:
             depth[v] = depth[p] + 1 if p >= 0 else 0
         potential = sum(labels[v] * (depth[v] + 1) for v in range(self.g.n))
         self.budget = (potential + 2) * (self.g.n + 2)
-        self.two_cover = _two_cover(self.g, labels)
+        two = np.fromiter(labels, np.int8, self.g.n) == 2
+        self.two_cover = _two_cover(self.g, two).tolist()
 
     def set_label(self, v: int, value: int) -> None:
         old = self.labels[v]
@@ -397,51 +414,60 @@ def check_normalized_rdf(tree: RootedTree, f: RomanFunction) -> list[Normalizati
     exactly one private child. Conditions (4) and (5) close the selection
     collisions the first three miss; without them the construction can put
     three vertices into one closed neighbourhood.
+
+    Each property is a mask over the vertices; sums over children are
+    counts over the parent array of the non-root vertices. Violations come
+    ordered by vertex, then by property.
     """
     g = tree.graph
+    n = g.n
     labels = f.labels
-    if len(labels) != g.n:
-        raise ValueError(f"labelling has {len(labels)} entries for n={g.n}")
-    two_cover = _two_cover(g, labels)
+    if len(labels) != n:
+        raise ValueError(f"labelling has {len(labels)} entries for n={n}")
+    lab = np.fromiter(labels, np.int8, n)
+    one = lab == 1
+    two = lab == 2
+    zero = lab == 0
+    private = _two_cover(g, two) == 1
+    kids, par = _child_arrays(tree)
 
-    def externals(v):
-        return [
-            u for u in (v, *g.adj[v]) if two_cover[u] == 1 and labels[u] != 2
-        ]
+    def per_parent(mask):
+        # how many children of each vertex are in mask
+        return np.bincount(par[mask[kids]], minlength=n)
 
-    violations = []
-    for v in range(g.n):
-        below = (v, *tree.children[v])
-        ones = sum(1 for u in below if labels[u] == 1)
-        if ones > 1:
-            violations.append(NormalizationViolation(1, v))
-        if labels[v] == 2:
-            private_children = [u for u in tree.children[v] if two_cover[u] == 1]
-            privates = len(private_children) + (1 if two_cover[v] == 1 else 0)
-            if privates < 2:
-                violations.append(NormalizationViolation(2, v))
-            elif two_cover[v] == 1 and len(private_children) == 1:
-                u = private_children[0]
-                if any(labels[x] == 1 for x in tree.children[u]):
-                    violations.append(NormalizationViolation(4, v))
-        elif labels[v] == 0:
-            marked = 0
-            for u in below:
-                if labels[u] == 1:
-                    marked += 1
-                elif labels[u] == 2 and len(externals(u)) == 1:
-                    marked += 1
-            if marked > 1:
-                violations.append(NormalizationViolation(3, v))
-            elif two_cover[v] == 1 and any(labels[u] == 1 for u in tree.children[v]):
-                z = next((u for u in tree.children[v] if labels[u] == 2), -1)
-                if z >= 0 and two_cover[z] == 1:
-                    z_private_children = [
-                        c for c in tree.children[z] if two_cover[c] == 1
-                    ]
-                    if len(z_private_children) == 1:
-                        violations.append(NormalizationViolation(5, v))
-    return violations
+    one_children = per_parent(one)
+    private_children = per_parent(private)
+    flags = np.zeros((n, 5), dtype=bool)  # column p - 1 holds property p
+    flags[:, 0] = one_children + one > 1
+    flags[:, 1] = two & (private_children + private < 2)
+    # the single private child of a self-private 2 has a 1-child
+    flags[:, 3] = (
+        two
+        & private
+        & (private_children == 1)
+        & (per_parent(private & (one_children > 0)) > 0)
+    )
+    # a 2 with exactly one external private neighbour is constrained
+    src, dst = g.arcs()
+    external = private & ~two
+    externals = np.bincount(src[external[dst]], minlength=n) + external
+    marked = one | (two & (externals == 1))
+    flags[:, 2] = zero & (per_parent(marked) + marked > 1)
+    # the first 2-child z of a 0-vertex that only z covers and that has a
+    # 1-child is self-private with exactly one private child
+    with_two = two[kids]
+    z_kids = kids[with_two]
+    z_par = par[with_two]
+    first = _group_starts(z_par)
+    z = z_kids[first]
+    z_bad = np.zeros(n, dtype=bool)
+    z_bad[z_par[first]] = private[z] & (private_children[z] == 1)
+    flags[:, 4] = zero & ~flags[:, 2] & private & (one_children > 0) & z_bad
+    vertices, columns = np.nonzero(flags)
+    return [
+        NormalizationViolation(p + 1, v)
+        for v, p in zip(vertices.tolist(), columns.tolist())
+    ]
 
 
 def build_packing(tree: RootedTree, f: RomanFunction) -> VertexSet:
@@ -467,22 +493,34 @@ def build_packing(tree: RootedTree, f: RomanFunction) -> VertexSet:
 
 def _packing(tree: RootedTree, f: RomanFunction) -> VertexSet:
     """Worker of build_packing for a labelling that passes
-    check_normalized_rdf; the caller checks the result."""
+    check_normalized_rdf; the caller checks the result.
+
+    Picks each 2-vertex's first two private children in child order, then
+    the vertex itself while fewer than two are picked. Only a 1-labelled
+    child can be picked twice: a private child has one 2-neighbour.
+    """
     g = tree.graph
-    labels = f.labels
-    two_cover = _two_cover(g, labels)
-    chosen = {v for v in range(g.n) if labels[v] == 1}
-    for v in range(g.n):
-        if labels[v] != 2:
-            continue
-        candidates = [u for u in tree.children[v] if two_cover[u] == 1]
-        if two_cover[v] == 1:
-            candidates.append(v)
-        for u in candidates[:2]:
-            if u in chosen:
-                raise RuntimeError(f"vertex {u} selected twice while building the packing")
-            chosen.add(u)
-    return frozenset(chosen)
+    n = g.n
+    lab = np.fromiter(f.labels, np.int8, n)
+    two = lab == 2
+    private = _two_cover(g, two) == 1
+    kids, par = _child_arrays(tree)
+    candidate = private[kids] & two[par]
+    c_kids = kids[candidate]
+    c_par = par[candidate]
+    starts = _group_starts(c_par)
+    # a candidate is among its parent's first two when it starts the group
+    # or follows a candidate that does
+    picked = starts.copy()
+    picked[1:] |= starts[:-1] & ~starts[1:]
+    picks = c_kids[picked]
+    twice = picks[lab[picks] == 1]
+    if len(twice):
+        raise RuntimeError(f"vertex {twice[0]} selected twice while building the packing")
+    chosen = lab == 1
+    chosen[picks] = True
+    chosen |= two & private & (np.bincount(c_par, minlength=n) < 2)
+    return frozenset(np.flatnonzero(chosen).tolist())
 
 
 def certify_tree(tree: RootedTree) -> DualityCertificate:

@@ -8,7 +8,10 @@ file output are deterministic.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -18,7 +21,9 @@ VertexSet = frozenset  # membership over 0..n-1; len() is the cached cardinality
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "m", "adj")
+    # _arcs caches arcs(); it is derived from adj, so equality and hashing
+    # ignore it
+    __slots__ = ("n", "m", "adj", "_arcs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -41,6 +46,7 @@ class Graph:
         self.n = n
         self.m = m
         self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self._arcs = None
 
     @staticmethod
     def _trusted(n: int, adj: tuple[tuple[int, ...], ...], m: int) -> "Graph":
@@ -50,6 +56,7 @@ class Graph:
         g.n = n
         g.m = m
         g.adj = adj
+        g._arcs = None
         return g
 
     def degree(self, v: int) -> int:
@@ -60,6 +67,22 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 2m ordered adjacent pairs as read-only int64 arrays (src, dst),
+        in adj order: src ascending, each vertex's neighbours sorted.
+
+        Built on first use and kept, so every whole-graph check on this graph
+        shares one pair of arrays.
+        """
+        if self._arcs is None:
+            degrees = np.fromiter(map(len, self.adj), np.int64, self.n)
+            src = np.arange(self.n, dtype=np.int64).repeat(degrees)
+            dst = np.fromiter(chain.from_iterable(self.adj), np.int64, 2 * self.m)
+            src.setflags(write=False)
+            dst.setflags(write=False)
+            self._arcs = (src, dst)
+        return self._arcs
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""

@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from math import ceil
 
+import numpy as np
+
 from .errors import SizeCapError
 from .graph import Graph, VertexSet
 
@@ -76,30 +78,34 @@ def _check_cap(n: int, cap: int | None, env: str, default: int, what: str) -> No
 
 
 def is_two_neighbour_packing(g: Graph, a) -> bool:
-    """True iff every closed neighbourhood contains at most two vertices of a."""
+    """True iff every closed neighbourhood contains at most two vertices of a.
+
+    One count over g.arcs(): each vertex's chosen neighbours plus itself.
+    """
     chosen = set(a)
-    for v in chosen:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    for v in range(g.n):
-        count = 1 if v in chosen else 0
-        for u in g.adj[v]:
-            if u in chosen:
-                count += 1
-                if count > 2:
-                    return False
-    return True
+    if chosen and (min(chosen) < 0 or max(chosen) >= g.n):
+        v = next(v for v in chosen if not 0 <= v < g.n)
+        raise ValueError(f"vertex {v} out of range for n={g.n}")
+    mask = np.zeros(g.n, dtype=bool)
+    mask[np.fromiter(chosen, np.int64, len(chosen))] = True
+    src, dst = g.arcs()
+    count = np.bincount(src[mask[dst]], minlength=g.n)
+    count += mask
+    return not (count > 2).any()
 
 
 def is_roman_dominating(g: Graph, f: RomanFunction) -> bool:
-    """True iff every vertex labelled 0 has a neighbour labelled 2."""
+    """True iff every vertex labelled 0 has a neighbour labelled 2.
+
+    One count over g.arcs(): each vertex's 2-labelled neighbours.
+    """
     labels = f.labels
     if len(labels) != g.n:
         raise ValueError(f"labelling has {len(labels)} entries for n={g.n}")
-    for v in range(g.n):
-        if labels[v] == 0 and not any(labels[u] == 2 for u in g.adj[v]):
-            return False
-    return True
+    lab = np.fromiter(labels, np.int8, g.n)
+    src, dst = g.arcs()
+    covered = np.bincount(src[lab[dst] == 2], minlength=g.n)
+    return not ((lab == 0) & (covered == 0)).any()
 
 
 def tnp_brute(g: Graph, cap: int | None = None) -> SolveResult:

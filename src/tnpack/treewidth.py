@@ -401,12 +401,14 @@ def _positions(width: int):
 
 
 def _edge_keys(g: Graph) -> np.ndarray:
-    """Sorted keys u * (n + 1) + v of every adjacent ordered pair, then a
-    sentinel above every key of two vertices or padding n."""
+    """Sorted keys u * (n + 1) + v of every adjacent ordered pair (u, v) of
+    g.arcs(), then a sentinel above every key of two vertices or padding n."""
     n = g.n
-    degrees = np.fromiter(chain(map(len, g.adj), (1,)), np.int64, n + 1)
-    keys = np.arange(0, (n + 1) ** 2, n + 1, dtype=np.int64).repeat(degrees)
-    keys += np.fromiter(chain(chain.from_iterable(g.adj), (n + 1,)), np.int64, 2 * g.m + 1)
+    src, dst = g.arcs()
+    keys = np.empty(len(src) + 1, dtype=np.int64)
+    np.multiply(src, n + 1, out=keys[:-1])
+    keys[:-1] += dst
+    keys[-1] = (n + 1) ** 2
     return keys
 
 

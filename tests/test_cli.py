@@ -182,6 +182,18 @@ def fresh_process_report(*args, module="tnpack.cli") -> tuple[int, dict]:
     return done.returncode, report(done.stdout)
 
 
+def test_memory_error_is_a_size_cap_refusal(capsys, p6, monkeypatch):
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "read_graph", exhausted)
+    for args in (("solve", p6), ("duality-report", p6)):
+        code, out, err = run_cli(capsys, *args)
+        assert code == cli.EXIT_CAP == 4
+        assert out == ""
+        assert err == "error: out of memory\n"
+
+
 def test_python_m_tnpack_matches_main(capsys, p6):
     code, out, _ = run_cli(capsys, "solve", p6)
     assert code == 0
@@ -252,6 +264,27 @@ class TestDualityReport:
         assert code == 0
         data = report(out)
         assert data["method"] == "brute" and data["verified"] is True
+
+    def test_tree_route_needs_no_connectivity_pass(self, capsys, tmp_path, monkeypatch):
+        # RootedTree's own BFS decides tree-ness
+        def fail(self):
+            raise AssertionError("is_connected called")
+
+        monkeypatch.setattr(Graph, "is_connected", fail)
+        f = tmp_path / "t.gr"
+        f.write_text(write_graph(random_tree(30, seed=9)))
+        code, out, _ = run_cli(capsys, "duality-report", str(f))
+        assert code == 0
+        data = report(out)
+        assert data["method"] == "tree" and data["verified"] is True
+
+    def test_edgeless_graphs_use_brute(self, capsys, tmp_path):
+        for n in (0, 1, 3):
+            f = tmp_path / f"e{n}.gr"
+            f.write_text(write_graph(empty(n) if n else Graph(0)))
+            code, out, _ = run_cli(capsys, "duality-report", str(f))
+            assert code == 0
+            assert report(out)["method"] == ("tree" if n == 1 else "brute")
 
     def test_k24(self, capsys, tmp_path):
         code, _, _ = run_cli(
