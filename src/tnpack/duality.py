@@ -1,10 +1,12 @@
 """Equality of Roman domination and two-neighbour packing on trees.
 
-The pipeline computes a minimum Roman function by a four-state tree DP,
-rewrites it bottom-up into a normal form whose subtree-local properties make
-the packing construction safe, then emits one packing vertex per 1-label and
-two private neighbours per 2-label. Both witnesses have the same size, which
-certifies optimality of each against the other.
+The pipeline computes a minimum Roman function by a four-state tree DP whose
+tie rules already give it the normal form (the subtree-local properties that
+make the packing construction safe), checks that form, then emits one
+packing vertex per 1-label and two private neighbours per 2-label. Both
+witnesses have the same size, which certifies optimality of each against the
+other. normalize_rdf rewrites any other minimum Roman function into the
+normal form.
 """
 
 from __future__ import annotations
@@ -80,6 +82,18 @@ def roman_tree_dp(tree: RootedTree) -> SolveResult:
     downward pass walks the BFS order and picks each child's state from its
     parent's. Ties go to the lowest state and, for the child upgraded to 2,
     to the first child in child order.
+
+    These ties (label 2 before 1 before 0, the first child for the upgrade)
+    make the witness satisfy properties (1)-(5) of check_normalized_rdf, so
+    certify_tree checks it instead of normalizing it. This was verified on
+    every labelled tree with n <= 8 at every root (2,223,278 rooted trees),
+    on seeded random trees with n <= 60 and on 100k random trees: no
+    violation, and normalize_rdf rewrote nothing. The state order is what
+    matters: preferring 1 or 0 on any tie breaks the property on trees
+    with n <= 6. The choice of upgraded child does not change the witness:
+    a 0 covered from below is only chosen when the upgrade costs nothing,
+    and then every tied child is labelled 2 anyway. The tests pin this for
+    n <= 6 and on a seeded suite.
     """
     g = tree.graph
     n = g.n
@@ -383,17 +397,11 @@ def normalize_rdf(tree: RootedTree, f: RomanFunction, debug: bool = False) -> Ro
         raise PreconditionError(
             f"input has weight {f.weight}, minimum is {optimum}"
         )
-    return _normalize(tree, f, optimum, debug)
-
-
-def _normalize(tree: RootedTree, f: RomanFunction, optimum: int, debug: bool) -> RomanFunction:
-    """Worker of normalize_rdf for an input known to be a Roman function of
-    weight ``optimum``: rewrites it, then checks the result once."""
     normalizer = _Normalizer(tree, list(f.labels), debug)
     while normalizer.run():
         pass
     result = RomanFunction(tuple(normalizer.labels))
-    if result.weight != optimum or not is_roman_dominating(tree.graph, result):
+    if result.weight != optimum or not is_roman_dominating(g, result):
         raise RuntimeError("normalization changed the weight or broke domination")
     remaining = check_normalized_rdf(tree, result)
     if remaining:
@@ -527,14 +535,17 @@ def certify_tree(tree: RootedTree) -> DualityCertificate:
     """End-to-end certificate that the two optima agree on this tree.
 
     One tree DP gives the optimum and a minimum Roman function, which the DP
-    checks for Roman domination. Normalization then checks its result once
-    (weight, Roman domination, check_normalized_rdf) and raises RuntimeError
-    on a failure, as normalize_rdf does. The packing built from it is
+    checks for Roman domination. Its tie rules put that function in normal
+    form, so it is checked once with check_normalized_rdf instead of being
+    rewritten; a violation raises RuntimeError. The packing built from it is
     checked once as a two-neighbour packing; ``verified`` holds when that
     check passes and its size equals the DP optimum.
     """
     dp = roman_tree_dp(tree)
-    f = _normalize(tree, dp.witness, dp.value, debug=False)
+    f = dp.witness
+    problems = check_normalized_rdf(tree, f)
+    if problems:
+        raise RuntimeError(f"tree DP witness is not normalized: {problems[:3]}")
     packing = _packing(tree, f)
     verified = len(packing) == dp.value and is_two_neighbour_packing(tree.graph, packing)
     return DualityCertificate(

@@ -63,9 +63,7 @@ from .decomposition import (
     decompose_tree,
     make_nice,  # noqa: F401  (perfbench/spans.py traces it here; solve does not call it)
     root_decomposition,
-    validate,
 )
-from .errors import PreconditionError
 from .graph import Graph
 from .oracles import SolveResult, is_two_neighbour_packing
 
@@ -631,18 +629,12 @@ def _replay(tables: DPTables, cid: int, state: int, picks: dict, replays: dict) 
     return result
 
 
-def trace_entry(
-    g: Graph,
-    td: TreeDecomposition | NiceTreeDecomposition,
-    tables: DPTables,
-    node: int,
-    state: int,
-) -> frozenset:
+def trace_entry(tables: DPTables, node: int, state: int) -> frozenset:
     """Packing realizing a finite entry of node ``node``'s table, rebuilt
-    top-down; ``tables`` is compute_tables(g, td). Every choice is derived
-    once per (transition, state) and every chain replayed once per (chain,
-    state); the choices are deterministic (first candidate in canonical
-    order)."""
+    top-down from the tables compute_tables returned. Every choice is
+    derived once per (transition, state) and every chain replayed once per
+    (chain, state); the choices are deterministic (first candidate in
+    canonical order)."""
     shapes = tables.shapes
     if shapes[tables.node_shape[node]][state] == -np.inf:
         raise ValueError(f"entry {state} at node {node} is infeasible")
@@ -695,17 +687,12 @@ def trace_entry(
     return frozenset(tables.vertices.ravel()[chosen].tolist())
 
 
-def solve(
-    g: Graph,
-    ntd: NiceTreeDecomposition | None = None,
-    td: TreeDecomposition | None = None,
-) -> SolveResult:
+def solve(g: Graph, td: TreeDecomposition | None = None) -> SolveResult:
     """Maximum two-neighbour packing via the decomposition dynamic program.
 
     Without a decomposition one is built (exact for forests, min-fill
-    otherwise). A caller-supplied decomposition, plain or nice, is
-    validated first. The returned witness is always re-checked against the
-    packing definition.
+    otherwise). A caller-supplied decomposition is validated first. The
+    returned witness is always re-checked against the packing definition.
     """
     if g.n == 0:
         return SolveResult(0, frozenset(), 0)
@@ -716,18 +703,7 @@ def solve(
     if gc_was_enabled:
         gc.disable()
     try:
-        if ntd is not None:
-            if ntd.n != g.n:
-                raise PreconditionError(
-                    f"decomposition is over n={ntd.n}, graph has n={g.n}"
-                )
-            problems = ntd.structural_violations()
-            if not problems:
-                problems = [str(v) for v in validate(g, ntd.to_tree_decomposition())]
-            if problems:
-                raise PreconditionError(f"invalid nice decomposition: {problems[0]}")
-            td = ntd
-        elif td is not None:
+        if td is not None:
             check_decomposition(g, td)
         else:
             try:
@@ -743,12 +719,12 @@ def solve(
         best = int(top.argmax())
         value = int(top[best]) + tables.offsets[root] + shift
         state = _replay(tables, drain, best, {}, {})[0]
-        witness = trace_entry(g, td, tables, root, state)
+        witness = trace_entry(tables, root, state)
         steps = tables.steps
     finally:
         # free the tables and the decomposition while the collector is
         # still off, so that its first sweep does not walk them
-        tables = top = td = ntd = None
+        tables = top = td = None
         if gc_was_enabled:
             gc.enable()
     if len(witness) != value or not is_two_neighbour_packing(g, witness):

@@ -59,6 +59,15 @@ class TestSolve:
         assert sum(cert["rdf"]) == len(cert["packing"]) == 4
         assert cert["verified"] is True
 
+    def test_tree_unnormalized_witness_exits_1(self, capsys, p6, monkeypatch):
+        monkeypatch.setattr(
+            duality, "check_normalized_rdf", lambda tree, f: [duality.NormalizationViolation(1, 0)]
+        )
+        code, out, err = run_cli(capsys, "solve", p6, "--method", "tree")
+        assert code == 1
+        assert out == ""
+        assert "not normalized" in err
+
     def test_tree_method_rejects_cycles(self, capsys, tmp_path):
         f = tmp_path / "c5.gr"
         f.write_text(write_graph(cycle(5)))
@@ -137,7 +146,6 @@ class TestSolve:
             return validate(g, td)
 
         monkeypatch.setattr(decomposition, "validate", counted)
-        monkeypatch.setattr(treewidth, "validate", counted)
         td = tmp_path / "p6.td"
         td.write_text("s td 5 2 6\nb 1 1 2\nb 2 2 3\nb 3 3 4\nb 4 4 5\nb 5 5 6\n1 2\n2 3\n3 4\n4 5\n")
         code, out, _ = run_cli(capsys, "solve", p6, "--method", "dp", "--td", str(td))

@@ -5,6 +5,7 @@ import pytest
 
 import tnpack.duality
 from tnpack.duality import (
+    NormalizationViolation,
     _Normalizer,
     build_packing,
     certify_tree,
@@ -54,6 +55,52 @@ class TestRomanTreeDp:
         g = random_tree(17, seed=424)
         values = {roman_tree_dp(RootedTree(g, r)).value for r in range(g.n)}
         assert len(values) == 1
+
+
+def labelled_trees(n: int):
+    """Every labelled tree on n vertices, decoded from its Pruefer sequence."""
+    if n <= 2:
+        yield Graph(n, [(0, 1)] if n == 2 else [])
+        return
+    for seq in product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for x in seq:
+            degree[x] += 1
+        edges = []
+        for x in seq:
+            leaf = degree.index(1)  # the lowest leaf
+            edges.append((leaf, x))
+            degree[leaf] = 0
+            degree[x] -= 1
+        edges.append(tuple(v for v in range(n) if degree[v] == 1))
+        yield Graph(n, edges)
+
+
+class TestDpWitnessIsNormalized:
+    """roman_tree_dp's tie rules put its witness in normal form, which is
+    why certify_tree checks that witness instead of normalizing it. These
+    fail if the DP prefers label 1 or 0 on any tie."""
+
+    @staticmethod
+    def assert_normalized(g: Graph, root: int) -> None:
+        t = RootedTree(g, root)
+        f = roman_tree_dp(t).witness
+        assert check_normalized_rdf(t, f) == [], (g.adj, root)
+        assert normalize_rdf(t, f).labels == f.labels, (g.adj, root)
+
+    def test_every_labelled_tree_up_to_six_at_every_root(self):
+        rooted = 0
+        for n in range(1, 7):
+            for g in labelled_trees(n):
+                for root in range(n):
+                    self.assert_normalized(g, root)
+                    rooted += 1
+        assert rooted == 8477
+
+    def test_tree_suite_at_three_roots(self, tree_suite):
+        for g in tree_suite:
+            for root in sorted({0, g.n // 2, g.n - 1}):
+                self.assert_normalized(g, root)
 
 
 class TestNormalizeRdf:
@@ -232,10 +279,27 @@ class TestCertifyTree:
             assert certify_tree(RootedTree(g)).verified
             assert calls == {
                 "roman_tree_dp": 1,
-                "is_roman_dominating": 2,
+                "is_roman_dominating": 1,
                 "check_normalized_rdf": 1,
                 "is_two_neighbour_packing": 1,
             }
+
+    def test_never_normalizes(self, tree_suite, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_Normalizer constructed")
+
+        monkeypatch.setattr(tnpack.duality, "_Normalizer", refuse)
+        for g in [*tree_suite, random_tree(20000, seed=32)]:
+            assert certify_tree(RootedTree(g)).verified
+
+    def test_unnormalized_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            tnpack.duality,
+            "check_normalized_rdf",
+            lambda tree, f: [NormalizationViolation(1, 0)],
+        )
+        with pytest.raises(RuntimeError, match="not normalized"):
+            certify_tree(RootedTree(path(5)))
 
     def test_selected_privates_distinct(self, tree_suite):
         # |packing| equals the weight, so no private neighbour was reused

@@ -346,11 +346,11 @@ def test_trace_takes_first_optimal_split(fresh_caches, monkeypatch):
         for s in [i for i, x in enumerate(tables[t]) if x >= 0][:25]
     ]
     assert {len(ntd.bags[t]) for t, _ in entries} >= {4, 5}
-    actual = [tw.trace_entry(g, ntd, tables, t, s) for t, s in entries]
+    actual = [tw.trace_entry(tables, t, s) for t, s in entries]
     monkeypatch.setattr(
         tw, "_join_pairs", lambda size, adj_masks, s: oracle_join_splits(s, size, adj_masks)
     )
-    expected = [tw.trace_entry(g, ntd, tables, t, s) for t, s in entries]
+    expected = [tw.trace_entry(tables, t, s) for t, s in entries]
     assert actual == expected
 
 

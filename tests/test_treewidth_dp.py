@@ -27,9 +27,12 @@ from test_transition_programs import (
 )
 
 
+def td_for(g):
+    return decompose_tree(g) if g.is_forest() else decompose_heuristic(g)
+
+
 def nice_for(g):
-    td = decompose_tree(g) if g.is_forest() else decompose_heuristic(g)
-    return make_nice(td, g)
+    return make_nice(td_for(g), g)
 
 
 class TestStateEncoding:
@@ -236,15 +239,13 @@ class TestSolve:
             assert max(root) == max(finite)
 
     def test_rejects_mismatched_decomposition(self):
-        ntd = nice_for(path(4))
         with pytest.raises(PreconditionError, match="n="):
-            solve(path(5), ntd=ntd)
+            solve(path(5), td=td_for(path(4)))
 
     def test_rejects_foreign_decomposition(self):
         # a valid decomposition of a different 4-vertex graph misses an edge
-        ntd = nice_for(path(4))
         with pytest.raises(PreconditionError, match="invalid"):
-            solve(cycle(4), ntd=ntd)
+            solve(cycle(4), td=td_for(path(4)))
 
     def test_restores_collector_state(self):
         was_enabled = gc.isenabled()
@@ -254,15 +255,14 @@ class TestSolve:
                 assert solve(random_tree(40, seed=3)).value > 0
                 assert gc.isenabled() is enabled
                 with pytest.raises(PreconditionError, match="n="):
-                    solve(path(5), ntd=nice_for(path(4)))
+                    solve(path(5), td=td_for(path(4)))
                 assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
     def test_accepts_user_decomposition(self):
         g = cycle(5)
-        ntd = make_nice(decompose_heuristic(g), g)
-        assert solve(g, ntd=ntd).value == 3
+        assert solve(g, td=decompose_heuristic(g)).value == 3
 
     def test_empty_graph(self):
         assert solve(Graph(0)).value == 0
@@ -284,7 +284,7 @@ class TestTableSoundness:
                 table = tables[t]
                 finite = [i for i, x in enumerate(table) if x >= 0]
                 for index in finite[:4]:
-                    witness = trace_entry(g, ntd, tables, t, index)
+                    witness = trace_entry(tables, t, index)
                     chosen, counts = decode_state(bag, index)
                     assert witness & set(bag) == chosen
                     assert len(witness) == table[index]
