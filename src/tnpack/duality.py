@@ -80,20 +80,19 @@ def roman_tree_dp(tree: RootedTree) -> SolveResult:
     Two flat passes over plain lists. The upward pass walks the postorder
     and adds each child's contribution to its parent's accumulators; the
     downward pass walks the BFS order and picks each child's state from its
-    parent's. Ties go to the lowest state and, for the child upgraded to 2,
-    to the first child in child order.
+    parent's, ties going to the lowest state. No child is singled out for
+    the upgrade to 2: a 0 covered from below is only chosen when the
+    cheapest upgrade costs nothing, and then the tie rule labels every
+    child that ties for it 2.
 
-    These ties (label 2 before 1 before 0, the first child for the upgrade)
-    make the witness satisfy properties (1)-(5) of check_normalized_rdf, so
-    certify_tree checks it instead of normalizing it. This was verified on
-    every labelled tree with n <= 8 at every root (2,223,278 rooted trees),
-    on seeded random trees with n <= 60 and on 100k random trees: no
-    violation, and normalize_rdf rewrote nothing. The state order is what
-    matters: preferring 1 or 0 on any tie breaks the property on trees
-    with n <= 6. The choice of upgraded child does not change the witness:
-    a 0 covered from below is only chosen when the upgrade costs nothing,
-    and then every tied child is labelled 2 anyway. The tests pin this for
-    n <= 6 and on a seeded suite.
+    These ties (label 2 before 1 before 0) make the witness satisfy
+    properties (1)-(5) of check_normalized_rdf, so certify_tree checks it
+    instead of normalizing it. This was verified on every labelled tree
+    with n <= 8 at every root (2,223,278 rooted trees), on seeded random
+    trees with n <= 60 and on 100k random trees: no violation, and
+    normalize_rdf rewrote nothing. The state order is what matters:
+    preferring 1 or 0 on any tie breaks the property on trees with
+    n <= 6. The tests pin this for n <= 6 and on a seeded suite.
     """
     g = tree.graph
     n = g.n
@@ -101,11 +100,10 @@ def roman_tree_dp(tree: RootedTree) -> SolveResult:
     # accumulators, final once a vertex is reached in postorder: the cost
     # of label 2; the children's best self-satisfied costs, which is the
     # cost of "0, relying on the parent" and one less than that of label 1;
-    # and the cheapest switch of one child to label 2, with that child
+    # and the cheapest switch of one child to label 2
     two = [2] * n
     free = [0] * n
     upgrade = [_INF] * n  # a leaf keeps _INF: it cannot be covered from below
-    upgrade_child = [-1] * n
     for v in tree.postorder:
         p = parent[v]
         if p < 0:
@@ -118,11 +116,9 @@ def roman_tree_dp(tree: RootedTree) -> SolveResult:
             self_satisfied = z
         two[p] += f if f < self_satisfied else self_satisfied
         free[p] += self_satisfied
-        # siblings arrive in reverse child order, so <= keeps the first
         delta = t - self_satisfied
-        if delta <= upgrade[p]:
+        if delta < upgrade[p]:
             upgrade[p] = delta
-            upgrade_child[p] = v
     root = tree.root
     root_costs = (two[root], free[root] + 1, free[root] + upgrade[root])
     value = min(root_costs)
@@ -131,8 +127,6 @@ def roman_tree_dp(tree: RootedTree) -> SolveResult:
     for c in tree.postorder[-2::-1]:  # parents before children, root skipped
         p = parent[c]
         ps = state[p]
-        if ps == _ZERO_COVERED and upgrade_child[p] == c:
-            continue  # state[c] is already _TWO
         best = two[c]
         s = _TWO
         f = free[c]
@@ -157,16 +151,6 @@ def _two_cover(g: Graph, two: np.ndarray) -> np.ndarray:
     boolean mask of 2-labels."""
     src, dst = g.arcs()
     return np.bincount(src[two[dst]], minlength=g.n) + two
-
-
-def _child_arrays(tree: RootedTree) -> tuple[np.ndarray, np.ndarray]:
-    """Every non-root vertex and its parent, grouped by parent in increasing
-    order and in child order within a parent: the arcs of g.arcs() that
-    point from a parent to its child."""
-    src, dst = tree.graph.arcs()
-    parent = np.fromiter(tree.parent, np.int64, tree.graph.n)
-    down = parent[dst] == src
-    return dst[down], src[down]
 
 
 def _group_starts(groups: np.ndarray) -> np.ndarray:
@@ -437,7 +421,7 @@ def check_normalized_rdf(tree: RootedTree, f: RomanFunction) -> list[Normalizati
     two = lab == 2
     zero = lab == 0
     private = _two_cover(g, two) == 1
-    kids, par = _child_arrays(tree)
+    kids, par = tree.child_arcs()
 
     def per_parent(mask):
         # how many children of each vertex are in mask
@@ -512,7 +496,7 @@ def _packing(tree: RootedTree, f: RomanFunction) -> VertexSet:
     lab = np.fromiter(f.labels, np.int8, n)
     two = lab == 2
     private = _two_cover(g, two) == 1
-    kids, par = _child_arrays(tree)
+    kids, par = tree.child_arcs()
     candidate = private[kids] & two[par]
     c_kids = kids[candidate]
     c_par = par[candidate]

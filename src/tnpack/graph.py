@@ -7,8 +7,8 @@ file output are deterministic.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import chain
+import gc
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,8 +72,8 @@ class Graph:
         """The 2m ordered adjacent pairs as read-only int64 arrays (src, dst),
         in adj order: src ascending, each vertex's neighbours sorted.
 
-        Built on first use and kept, so every whole-graph check on this graph
-        shares one pair of arrays.
+        Built on first use and kept (read_graph seeds them from its parse),
+        so every whole-graph check on this graph shares one pair of arrays.
         """
         if self._arcs is None:
             degrees = np.fromiter(map(len, self.adj), np.int64, self.n)
@@ -195,15 +195,16 @@ def disjoint_union(graphs: Sequence[Graph]) -> tuple[Graph, list[int]]:
 
 
 class RootedTree:
-    """A tree graph with a designated root, parent/children arrays and post-order.
+    """A tree graph with a designated root, a parent array and a post-order.
 
     Raises ValueError, in this order, for an empty graph, a root out of
     range, and a graph that is not a tree. Tree-ness is decided by
     m == n - 1 and by the rooting BFS reaching all n vertices, so the
-    constructor makes one traversal.
+    constructor makes one traversal. ``children`` and ``child_arcs()`` are
+    derived from the parent array on first use and kept.
     """
 
-    __slots__ = ("graph", "root", "parent", "children", "postorder")
+    __slots__ = ("graph", "root", "parent", "postorder", "_children", "_child_arcs")
 
     def __init__(self, graph: Graph, root: int = 0):
         if graph.n == 0:
@@ -212,37 +213,74 @@ class RootedTree:
             raise ValueError(f"root {root} out of range for n={graph.n}")
         if graph.m != graph.n - 1:
             raise ValueError("input graph is not a tree")
+        adj = graph.adj
         parent = [-1] * graph.n
-        children: list[list[int]] = [[] for _ in range(graph.n)]
-        order = []
-        seen = [False] * graph.n
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for u in graph.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
+        parent[root] = root  # marks the root as seen until the BFS ends
+        order = [root]
+        for v in order:  # the BFS queue is the order list, growing as it is read
+            for u in adj[v]:
+                if parent[u] < 0:
                     parent[u] = v
-                    children[v].append(u)
-                    queue.append(u)
+                    order.append(u)
+        parent[root] = -1
         # with m == n - 1 edges, reaching every vertex means connected and acyclic
         if len(order) != graph.n:
             raise ValueError("input graph is not a tree")
         self.graph = graph
         self.root = root
         self.parent = tuple(parent)
-        self.children = tuple(tuple(c) for c in children)
         # children appear before parents when the BFS order is reversed
         self.postorder = tuple(reversed(order))
+        self._children = None
+        self._child_arcs = None
 
     @property
     def n(self) -> int:
         return self.graph.n
 
+    @property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's children in adjacency order."""
+        if self._children is None:
+            parent = self.parent
+            self._children = tuple(
+                tuple([u for u in nbrs if parent[u] == v])
+                for v, nbrs in enumerate(self.graph.adj)
+            )
+        return self._children
+
+    def child_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every non-root vertex and its parent as read-only int64 arrays
+        (child, parent), grouped by parent in increasing order and in child
+        order within a parent: the arcs of graph.arcs() that point from a
+        parent to its child. Built on first use and kept."""
+        if self._child_arcs is None:
+            src, dst = self.graph.arcs()
+            parent = np.fromiter(self.parent, np.int64, self.graph.n)
+            down = parent[dst] == src
+            kids, par = dst[down], src[down]
+            kids.setflags(write=False)
+            par.setflags(write=False)
+            self._child_arcs = (kids, par)
+        return self._child_arcs
+
     def __repr__(self):
         return f"RootedTree(n={self.graph.n}, root={self.root})"
+
+
+# byte classes of the bulk .gr parse; a byte of class _OTHER makes its line
+# irregular
+_DIGIT, _BLANK, _BREAK, _OTHER = 0, 1, 2, 3
+_BYTE_CODE = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CODE[list(b"0123456789")] = _DIGIT
+_BYTE_CODE[list(b" \t")] = _BLANK
+_BYTE_CODE[ord("\n")] = _BREAK
+# a longer run of digits could overflow int64, so its line goes through int()
+_MAX_DIGITS = 18
+_ID_LIMIT = 10**_MAX_DIGITS  # above every id of a regular line
+# the largest vertex count whose arc keys (see read_graph) fit int64; its
+# adjacency alone would take over 24 GB
+_MAX_N = 3 * 10**9
 
 
 def read_graph(text: str) -> Graph:
@@ -250,58 +288,190 @@ def read_graph(text: str) -> Graph:
 
     Checks, each raising ParseError: one well-formed header before any edge
     line, well-formed integer edge lines, vertex ids in 1..n, no self-loops,
-    no duplicate edges, and an edge count equal to the header's. These are
-    all the checks Graph's constructor makes, so the graph is built from the
-    checked edges without repeating them; nothing of size n is allocated
-    before the edge count has been checked.
+    no duplicate edges, and an edge count equal to the header's. The error
+    raised is the one for the lowest offending line. These are all the
+    checks Graph's constructor makes, so the graph is built from the checked
+    edges without repeating them; nothing of size n is allocated before the
+    edge count has been checked, and a vertex count too large to index
+    raises MemoryError after that.
+
+    The parse works in bulk. Lines are those of str.splitlines(). A regular
+    line, two runs of at most 18 ASCII digits with spaces or tabs around
+    them, is found and converted by numpy over the joined text; only the
+    other lines (the header, comments, blank lines, and anything else that
+    int() or str.split() read differently) are examined one at a time. One
+    sort of the 2m arc keys orders the adjacency and shows whether any edge
+    repeats; the sorted arcs seed arcs().
     """
+    lines = text.splitlines()
+    regular, index, ids = _regular_edges(lines)
+
     n = None
     m_declared = 0
-    edges: list[tuple[int, int]] = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+    header = None  # line index of the header
+    error = None  # the first ParseError among the irregular lines
+    extra = []  # (line index, u, v) of the irregular edge lines
+    outsized = 0  # irregular edge lines with an id of more than 18 digits
+    seen = set()  # keys of the irregular edge lines
+    for i in (~regular).nonzero()[0].tolist():
+        lineno = i + 1
+        line = lines[i].strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "p":
             if n is not None:
-                raise ParseError("duplicate header", lineno)
+                error = ParseError("duplicate header", lineno)
+                break
             if len(parts) != 4 or parts[1] != "tw":
-                raise ParseError(f"malformed header {line!r}, expected 'p tw n m'", lineno)
+                error = ParseError(f"malformed header {line!r}, expected 'p tw n m'", lineno)
+                break
             try:
                 n, m_declared = int(parts[2]), int(parts[3])
             except ValueError:
-                raise ParseError(f"non-integer header fields in {line!r}", lineno) from None
+                error = ParseError(f"non-integer header fields in {line!r}", lineno)
+                break
             if n < 0 or m_declared < 0:
-                raise ParseError("negative counts in header", lineno)
+                error = ParseError("negative counts in header", lineno)
+                break
+            header = i
+            continue
+        if n is None:
+            error = ParseError("edge line before header", lineno)
+            break
+        if len(parts) != 2:
+            error = ParseError(f"malformed edge line {line!r}", lineno)
+            break
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            error = ParseError(f"non-integer edge line {line!r}", lineno)
+            break
+        if not (1 <= u <= n and 1 <= v <= n):
+            error = ParseError(f"vertex id out of range in {line!r} (n={n})", lineno)
+            break
+        if u == v:
+            error = ParseError(f"self-loop at vertex {u}", lineno)
+            break
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            error = ParseError(f"duplicate edge ({u}, {v})", lineno)
+            break
+        seen.add(key)
+        if max(u, v) < _ID_LIMIT:
+            extra.append((i, u, v))
         else:
-            if n is None:
-                raise ParseError("edge line before header", lineno)
-            if len(parts) != 2:
-                raise ParseError(f"malformed edge line {line!r}", lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"non-integer edge line {line!r}", lineno) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"vertex id out of range in {line!r} (n={n})", lineno)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", lineno)
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ParseError(f"duplicate edge ({u}, {v})", lineno)
-            seen.add(key)
-            edges.append((u - 1, v - 1))
-    if n is None:
-        raise ParseError("missing 'p tw n m' header")
-    if len(edges) != m_declared:
-        raise ParseError(f"header declares {m_declared} edges but {len(edges)} found")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph._trusted(n, tuple(tuple(sorted(a)) for a in adj), len(edges))
+            # repeats no regular line; n > _MAX_N fails at the build below
+            outsized += 1
+
+    limit = len(lines) if header is None else header
+    if error is not None:
+        limit = min(limit, error.line - 1)
+    if len(index) and index[0] < limit:
+        raise ParseError("edge line before header", int(index[0]) + 1)
+    if header is None:
+        raise error or ParseError("missing 'p tw n m' header")
+    if extra:  # into line order; each passed every check but repeats
+        rows = np.array(extra, dtype=np.int64)
+        at = index.searchsorted(rows[:, 0])
+        index = np.insert(index, at, rows[:, 0])
+        ids = np.insert(ids, at, rows[:, 1:], axis=0)
+    # both arcs of every edge as sorted keys u * base + v of the ids clipped
+    # to 0..base: all in base + 1..base**2 - 1 when every id is in 1..n, and
+    # repeated for a self-loop or a repeated edge. Ids above _MAX_N (when
+    # n is) fail this test too, so _edge_error has the last word.
+    base = min(n, _MAX_N) + 1
+    clipped = np.minimum(ids, base)
+    keys = (clipped * base + clipped[:, ::-1]).ravel()
+    keys.sort()
+    if (
+        len(keys) and (keys[0] <= base or keys[-1] >= base * base)
+        or (keys[1:] == keys[:-1]).any()
+    ):
+        bad = _edge_error(lines, index, ids, n)
+        if bad is not None and (error is None or bad.line < error.line):
+            error = bad
+    if error is not None:
+        raise error
+    m = len(ids) + outsized
+    if m != m_declared:
+        raise ParseError(f"header declares {m_declared} edges but {m} found")
+    if n > _MAX_N:
+        raise MemoryError(f"{n} vertices cannot be indexed")
+    keys -= base + 1
+    src, dst = np.divmod(keys, base)  # 0-based, in adj order
+    ends = np.bincount(src, minlength=n).cumsum().tolist()
+    flat = tuple(dst.tolist())
+    # n tuples of ints form no cycles; the cyclic collector is paused while
+    # they are made, as it would otherwise sweep them again and again
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        adj = tuple(map(flat.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    g = Graph._trusted(n, adj, m)
+    src.setflags(write=False)
+    dst.setflags(write=False)
+    g._arcs = (src, dst)
+    return g
+
+
+def _regular_edges(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Find and convert the regular lines: blanks (space, tab) around two
+    runs of at most 18 ASCII digits. Returns the mask of regular lines, the
+    index of each regular line, and its two ids as one row of an int64
+    array."""
+    # a break before the first line and after the last ends every run
+    data = np.frombuffer(
+        "\n".join(["", *lines, ""]).encode("utf-8", "surrogatepass"), np.uint8
+    )
+    code = _BYTE_CODE.take(data)
+    line_ends = (code == _BREAK).nonzero()[0][1:]  # line i ends there
+    digit = code == _DIGIT
+    # each run of digits as the offset before it and the offset of its last digit
+    changes = (digit[1:] != digit[:-1]).nonzero()[0]
+    last = changes[1::2]
+    run_line = line_ends.searchsorted(last)
+    regular = np.bincount(run_line, minlength=len(lines)) == 2
+    regular[line_ends.searchsorted((code == _OTHER).nonzero()[0])] = False
+    width = last - changes[0::2]
+    if len(width) and width.max() > _MAX_DIGITS:
+        regular[run_line[width > _MAX_DIGITS]] = False
+    index = regular.nonzero()[0]
+    text = " ".join(compress(lines, regular.tolist()))
+    ids = np.fromstring(text, dtype=np.int64, sep=" ").reshape(len(index), 2)
+    return regular, index, ids
+
+
+def _edge_error(lines: list[str], index: np.ndarray, ids: np.ndarray, n: int):
+    """The ParseError of the first bad edge line, or None: an id out of
+    range, a self-loop, or a repeat of an earlier line's edge, checked in
+    that order on each line. ``ids`` holds the edges in line order and
+    ``index`` their line indices."""
+    u, v = ids[:, 0], ids[:, 1]
+    top = min(n, _ID_LIMIT)
+    bad = ((u < 1) | (u > top) | (v < 1) | (v > top) | (u == v)).nonzero()[0]
+    first_bad = int(bad[0]) if len(bad) else len(ids)
+    # a stable sort keeps the copies of an arc in line order, so the later
+    # copy of each adjacent pair is a repeat
+    src, dst = ids.ravel(), ids[:, ::-1].ravel()
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    repeats = order[1:][(src[1:] == src[:-1]) & (dst[1:] == dst[:-1])]
+    first_repeat = int(repeats.min()) // 2 if len(repeats) else len(ids)
+    k = min(first_bad, first_repeat)
+    if k == len(ids):
+        return None
+    i = int(index[k])
+    a, b = ids[k].tolist()
+    if k == first_bad and (1 <= a <= n and 1 <= b <= n):
+        return ParseError(f"self-loop at vertex {a}", i + 1)
+    if k == first_bad:
+        line = lines[i].strip()
+        return ParseError(f"vertex id out of range in {line!r} (n={n})", i + 1)
+    return ParseError(f"duplicate edge ({a}, {b})", i + 1)
 
 
 def write_graph(g: Graph) -> str:
