@@ -3,7 +3,8 @@
 Reports are JSON on stdout (deterministic apart from the time_ms field);
 diagnostics go to stderr. Exit codes: 0 verified result, 1 failed
 verification, 2 unparsable input, 3 violated precondition or bad parameters,
-4 size-cap refusal (including running out of memory).
+4 size-cap refusal (including running out of memory and a search deeper
+than the recursion limit).
 """
 
 from __future__ import annotations
@@ -323,6 +324,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except RecursionError:
+        # a RuntimeError subclass, but an input too deep for a recursive
+        # search is a size-cap refusal, not a failed verification
+        print("error: search deeper than the recursion limit", file=sys.stderr)
+        return EXIT_CAP
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNVERIFIED

@@ -98,43 +98,39 @@ class Graph:
             masks.append(mask)
         return masks
 
-    def is_forest(self) -> bool:
-        """True iff the graph is acyclic."""
-        seen = [False] * self.n
-        for start in range(self.n):
-            if seen[start]:
+    def _bfs(self, starts: Iterable[int]) -> tuple[list[int], list[int]]:
+        """Breadth-first search from each start not yet reached, in the given
+        order. Returns (order, parent): the vertices in the order they were
+        reached, and each vertex's parent, -1 at every search root and at
+        every vertex no search reached. Neighbours are visited in adj order.
+        """
+        adj = self.adj
+        parent = [-1] * self.n
+        order: list[int] = []
+        roots = []
+        for s in starts:
+            if parent[s] >= 0:
                 continue
-            seen[start] = True
-            count = 1
-            edges_in_component = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                edges_in_component += len(self.adj[v])
-                for u in self.adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        count += 1
-                        stack.append(u)
-            if edges_in_component != 2 * (count - 1):
-                return False
-        return True
+            parent[s] = s  # marks the root as reached until every search ends
+            queue = [s]
+            for v in queue:  # the queue grows as it is read
+                for u in adj[v]:
+                    if parent[u] < 0:
+                        parent[u] = v
+                        queue.append(u)
+            order += queue
+            roots.append(s)
+        for s in roots:
+            parent[s] = -1
+        return order, parent
+
+    def is_forest(self) -> bool:
+        """True iff the graph is acyclic: a forest has n minus one edge per
+        component, and each component has one search root."""
+        return self.m == self.n - self._bfs(range(self.n))[1].count(-1)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            v = stack.pop()
-            for u in self.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    reached += 1
-                    stack.append(u)
-        return reached == self.n
+        return self.n == 0 or len(self._bfs((0,))[0]) == self.n
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -213,16 +209,7 @@ class RootedTree:
             raise ValueError(f"root {root} out of range for n={graph.n}")
         if graph.m != graph.n - 1:
             raise ValueError("input graph is not a tree")
-        adj = graph.adj
-        parent = [-1] * graph.n
-        parent[root] = root  # marks the root as seen until the BFS ends
-        order = [root]
-        for v in order:  # the BFS queue is the order list, growing as it is read
-            for u in adj[v]:
-                if parent[u] < 0:
-                    parent[u] = v
-                    order.append(u)
-        parent[root] = -1
+        order, parent = graph._bfs((root,))
         # with m == n - 1 edges, reaching every vertex means connected and acyclic
         if len(order) != graph.n:
             raise ValueError("input graph is not a tree")

@@ -9,14 +9,13 @@ first optimum found is kept.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
 
 from .errors import SizeCapError
-from .graph import Graph, VertexSet
+from .graph import Graph
 
 TNP_CAP_ENV = "TNPACK_TNP_CAP"
 ROMAN_CAP_ENV = "TNPACK_ROMAN_CAP"
@@ -40,9 +39,6 @@ class RomanFunction:
     @property
     def weight(self) -> int:
         return sum(self.labels)
-
-    def vertices_with(self, value: int) -> VertexSet:
-        return frozenset(v for v, x in enumerate(self.labels) if x == value)
 
 
 @dataclass(frozen=True)
@@ -147,24 +143,6 @@ def tnp_brute(g: Graph, cap: int | None = None) -> SolveResult:
     return SolveResult(best_size, frozenset(best), steps)
 
 
-def _bfs_order(g: Graph) -> list[int]:
-    order = []
-    seen = [False] * g.n
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for u in g.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-    return order
-
-
 def roman_brute(g: Graph, cap: int | None = None) -> SolveResult:
     """Minimum-weight Roman dominating function over all 3^n labellings.
 
@@ -176,7 +154,7 @@ def roman_brute(g: Graph, cap: int | None = None) -> SolveResult:
     _check_cap(n, cap, ROMAN_CAP_ENV, ROMAN_CAP_DEFAULT, "roman_brute")
     if n == 0:
         return SolveResult(0, RomanFunction(()), 0)
-    order = _bfs_order(g)
+    order = g._bfs(range(n))[0]
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i

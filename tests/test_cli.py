@@ -110,6 +110,17 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(f), "--method", "brute")
         assert code == 4 and "cap" in err
 
+    def test_brute_past_the_recursion_limit_exits_4(self, capsys, tmp_path, monkeypatch):
+        # RecursionError is a RuntimeError, which alone would mean exit 1
+        n = sys.getrecursionlimit() + 500
+        monkeypatch.setenv("TNPACK_TNP_CAP", str(n))
+        f = tmp_path / "long.gr"
+        f.write_text(write_graph(path(n)))
+        code, out, err = run_cli(capsys, "solve", str(f), "--method", "brute")
+        assert code == cli.EXIT_CAP == 4
+        assert out == ""
+        assert err == "error: search deeper than the recursion limit\n"
+
     def test_witness_out(self, capsys, p6, tmp_path):
         target = tmp_path / "w.json"
         code, out, _ = run_cli(capsys, "solve", p6, "--witness-out", str(target))
@@ -285,6 +296,17 @@ class TestDualityReport:
         assert code == 0
         data = report(out)
         assert data["method"] == "tree" and data["verified"] is True
+
+    def test_brute_route_past_the_recursion_limit_exits_4(self, capsys, tmp_path, monkeypatch):
+        n = sys.getrecursionlimit() + 500
+        monkeypatch.setenv("TNPACK_ROMAN_CAP", str(n))
+        monkeypatch.setenv("TNPACK_TNP_CAP", str(n))
+        f = tmp_path / "long_cycle.gr"
+        f.write_text(write_graph(cycle(n)))
+        code, out, err = run_cli(capsys, "duality-report", str(f))
+        assert code == cli.EXIT_CAP == 4
+        assert out == ""
+        assert err == "error: search deeper than the recursion limit\n"
 
     def test_edgeless_graphs_use_brute(self, capsys, tmp_path):
         for n in (0, 1, 3):
