@@ -3,8 +3,9 @@
 Two constructions are provided: an exact width-<=1 decomposition for forests
 and a min-fill elimination heuristic for general graphs (an upper bound on
 the tree-width, not necessarily optimal). ``make_nice`` rewrites any valid
-decomposition into the leaf/introduce/forget/join normal form the dynamic
-program consumes.
+decomposition into the leaf/introduce/forget/join normal form; it is a
+standalone utility, since the dynamic program evaluates those transitions
+on the plain decomposition without building it.
 """
 
 from __future__ import annotations
@@ -409,7 +410,7 @@ def root_decomposition(td: TreeDecomposition):
     return root, parent, children, preorder
 
 
-def make_nice(td: TreeDecomposition, g: Graph, pre_validated: bool = False) -> NiceTreeDecomposition:
+def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     """Turn a valid decomposition into nice form of the same width.
 
     The decomposition tree is rooted by root_decomposition, a node with
@@ -417,11 +418,9 @@ def make_nice(td: TreeDecomposition, g: Graph, pre_validated: bool = False) -> N
     differing adjacent bags are bridged by forget/introduce chains, a
     childless bag starts with a leaf of its lowest vertex, and the root bag
     is drained by forgets until its lowest vertex remains. Node count stays
-    linear in (width+1) * nodes. ``pre_validated`` skips revalidating a
-    decomposition the caller has already checked against g.
+    linear in (width+1) * nodes.
     """
-    if not pre_validated:
-        check_decomposition(g, td)
+    check_decomposition(g, td)
     if g.n == 0:
         raise ValueError("empty graph has no nice tree decomposition")
     sorted_bags = [tuple(sorted(b)) for b in td.bags]

@@ -8,16 +8,16 @@ combinations are (out,0), (out,1), (out,2), (in,1), (in,2), encoded as digits
 5**|bag| states to the best partial packing size, or to -1 (NEG) when the
 state is infeasible.
 
-The program runs on the decomposition's own bags, plain or nice, in one
-pass. Nice form (leaf/introduce/forget/join) is the proof device, not a
-structure the program builds: each bag-to-bag edge is one chain of the
-forget and introduce transitions make_nice would put there, a childless
-bag starts from a leaf of its lowest vertex, a bag's sides are joined in
-child order, and a plain decomposition's root is drained to its lowest
-vertex. A chain is keyed by its edge signature (sizes, which vertices the
-bags share, the parent's adjacency), computed for every edge in one numpy
-pass, and by its child shape; a 100k-vertex random tree has 99,999 bags
-but only a few hundred distinct chains.
+The program runs on the decomposition's own bags in one pass. Nice form
+(leaf/introduce/forget/join) is the proof device, not a structure the
+program builds or reads: each bag-to-bag edge is one chain of the forget
+and introduce transitions make_nice would put there, a childless bag
+starts from a leaf of its lowest vertex, a bag's sides are joined in child
+order, and the root is drained to its lowest vertex. A chain is keyed by
+its edge signature (sizes, which vertices the bags share, the parent's
+adjacency), computed for every edge in one numpy pass, and by its child
+shape; a 100k-vertex random tree has 99,999 bags but only a few hundred
+distinct chains.
 
 Taken up to an additive constant, the tables of a decomposition fall into
 few distinct shapes, so the evaluator stores a shape id and an offset per
@@ -47,6 +47,7 @@ and each chain is replayed once per (chain, state), last step first.
 from __future__ import annotations
 
 import gc
+from functools import cache, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -56,7 +57,6 @@ from .decomposition import (
     INTRODUCE,
     JOIN,
     LEAF,
-    NiceTreeDecomposition,
     TreeDecomposition,
     check_decomposition,
     decompose_heuristic,
@@ -76,47 +76,14 @@ _LEAF_KEY = (LEAF,)
 # transition programs are built with numpy digit arithmetic and cached by
 # structural signature across solves. Introduce programs are small and kept
 # without bound. Join programs hold every split of every state (about 66k
-# for a 5-vertex bag), so their cache is a FIFO bounded by the bytes of its
-# arrays: 64 MiB holds about 220 five-vertex programs, more than the
-# distinct wide joins of a batch of small graphs. The newest program is kept
-# even when it alone exceeds the budget.
-_intro_cache: dict = {}
+# for a 5-vertex bag) and range from a few bytes to tens of MB, so their
+# cache is a FIFO bounded by the bytes of its arrays, not by a count:
+# 64 MiB holds about 220 five-vertex programs, more than the distinct wide
+# joins of a batch of small graphs. The newest program is kept even when
+# it alone exceeds the budget.
 _join_cache: dict = {}
 _join_cache_bytes = 0
 _JOIN_CACHE_BYTES = 64 << 20
-
-
-def encode_state(bag, chosen, counts) -> int:
-    """Index of the state with chosen-set ``chosen`` and neighbour counts
-    ``counts`` (a mapping over the bag) in the table of a node with ``bag``."""
-    index = 0
-    for pos, v in enumerate(sorted(bag)):
-        c = counts[v]
-        if v in chosen:
-            if c not in (1, 2):
-                raise ValueError(f"chosen vertex {v} needs count 1 or 2, got {c}")
-            digit = 2 + c
-        else:
-            if c not in (0, 1, 2):
-                raise ValueError(f"count {c} for vertex {v} out of range")
-            digit = c
-        index += digit * _POW5[pos]
-    return index
-
-
-def decode_state(bag, index) -> tuple[frozenset, dict[int, int]]:
-    """Inverse of encode_state: (chosen subset, per-vertex neighbour count)."""
-    chosen = set()
-    counts = {}
-    for v in sorted(bag):
-        digit = index % 5
-        index //= 5
-        if digit >= 3:
-            chosen.add(v)
-            counts[v] = digit - 2
-        else:
-            counts[v] = digit
-    return frozenset(chosen), counts
 
 
 def _digit_array(size: int) -> np.ndarray:
@@ -126,6 +93,7 @@ def _digit_array(size: int) -> np.ndarray:
     return states[:, None] // np.asarray(_POW5[:size], dtype=np.int64) % 5
 
 
+@cache
 def _intro_entry(size: int, pos: int, nbr_mask: int):
     """Cached introduce program for one signature: ``(gather, add)``.
 
@@ -134,10 +102,6 @@ def _intro_entry(size: int, pos: int, nbr_mask: int):
     0 if not, and -inf if the parent state is infeasible. ``nbr_mask``
     marks which child-bag positions are neighbours of the new vertex.
     """
-    key = (size, pos, nbr_mask)
-    cached = _intro_cache.get(key)
-    if cached is not None:
-        return cached
     digits = _digit_array(size)
     d = digits[:, pos]
     rest = np.delete(digits, pos, axis=1)
@@ -148,9 +112,7 @@ def _intro_entry(size: int, pos: int, nbr_mask: int):
     # neighbour's child digit is one lower and must not drop below its floor
     feasible &= ~in_b | ~((rest[:, nbr] == 0) | (rest[:, nbr] == 3)).any(axis=1)
     child = (rest - np.outer(in_b, nbr)) @ np.asarray(_POW5[: size - 1], dtype=np.int64)
-    cached = (np.where(feasible, child, 0), np.where(feasible, in_b, -np.inf))
-    _intro_cache[key] = cached
-    return cached
+    return np.where(feasible, child, 0), np.where(feasible, in_b, -np.inf)
 
 
 def _join_triples(chosen: bool, k: int) -> np.ndarray:
@@ -299,9 +261,9 @@ class DPTables:
 
     Per node of the rooted decomposition: a shape id and an offset, the
     chain that carries its table to its parent's bag (the root's chain
-    drains the root bag to its lowest vertex, or is empty on a nice
-    decomposition), the chain that builds a childless node's table from a
-    leaf, and the join cascade of a node with several children.
+    drains the root bag to its lowest vertex, and is empty when that bag
+    has at most one vertex), the chain that builds a childless node's table
+    from a leaf, and the join cascade of a node with several children.
     ``tables[t]`` materializes node t's table.
     """
 
@@ -334,12 +296,8 @@ class DPTables:
 
 # chain steps per edge signature, cached across solves like the introduce
 # programs. A solve brings few distinct signatures, but a process that
-# solves many graphs meets many, so the cache is a FIFO of bounded length.
-_chain_cache: dict = {}
-_CHAIN_CACHE_SIZE = 1 << 14
-_position_cache: dict = {}
-
-
+# solves many graphs meets many, so the cache is an LRU of bounded length.
+@lru_cache(maxsize=1 << 14)
 def _chain_template(sig: bytes) -> tuple:
     """The forget/introduce steps that turn a child bag into its parent's:
     ``(prefixes, positions, parent adjacency masks)``.
@@ -351,51 +309,44 @@ def _chain_template(sig: bytes) -> tuple:
     Each prefix is a transition key without its child shape id;
     ``positions`` holds the parent position of each introduced vertex and
     -1 for a forget."""
-    cached = _chain_cache.get(sig)
-    if cached is None:
-        size, kept, present, parent_size, *adj_masks = np.frombuffer(sig, np.int64).tolist()
-        adj_masks = tuple(adj_masks[:parent_size])
-        prefixes = []
-        positions = []
-        for i in range(size):
-            if not kept >> i & 1:
-                prefixes.append((FORGET, i - len(prefixes)))
-                positions.append(-1)
-        for j, mask in enumerate(adj_masks):
-            if present >> j & 1:
-                continue
-            # bit q of the introduce mask is the q-th present vertex
-            nbr = 0
-            q = 0
-            for k in range(parent_size):
-                if present >> k & 1:
-                    nbr |= (mask >> k & 1) << q
-                    q += 1
-            below = present & ((1 << j) - 1)
-            prefixes.append((INTRODUCE, q + 1, below.bit_count(), nbr))
-            positions.append(j)
-            present |= 1 << j
-        if len(_chain_cache) >= _CHAIN_CACHE_SIZE:
-            del _chain_cache[next(iter(_chain_cache))]
-        cached = _chain_cache[sig] = (tuple(prefixes), tuple(positions), adj_masks)
-    return cached
+    size, kept, present, parent_size, *adj_masks = np.frombuffer(sig, np.int64).tolist()
+    adj_masks = tuple(adj_masks[:parent_size])
+    prefixes = []
+    positions = []
+    for i in range(size):
+        if not kept >> i & 1:
+            prefixes.append((FORGET, i - len(prefixes)))
+            positions.append(-1)
+    for j, mask in enumerate(adj_masks):
+        if present >> j & 1:
+            continue
+        # bit q of the introduce mask is the q-th present vertex
+        nbr = 0
+        q = 0
+        for k in range(parent_size):
+            if present >> k & 1:
+                nbr |= (mask >> k & 1) << q
+                q += 1
+        below = present & ((1 << j) - 1)
+        prefixes.append((INTRODUCE, q + 1, below.bit_count(), nbr))
+        positions.append(j)
+        present |= 1 << j
+    return tuple(prefixes), tuple(positions), adj_masks
 
 
+@cache
 def _positions(width: int):
     """Per bag width: the positions, their bits, the weights that turn a
     (width x width) table of equal child and parent positions into the
     child-in-parent and parent-in-child masks, and the dtype of one
     signature row as a single bytes value."""
-    cached = _position_cache.get(width)
-    if cached is None:
-        positions = np.arange(width, dtype=np.int64)
-        bits = 1 << positions
-        # a vertex sits at one position of each bag, so summing weights
-        # over the equal pairs sets one bit per shared vertex
-        weights = np.stack((np.repeat(bits, width), np.tile(bits, width)), axis=1)
-        row = np.dtype((np.void, 8 * (4 + width)))
-        cached = _position_cache[width] = (positions, bits, weights, row)
-    return cached
+    positions = np.arange(width, dtype=np.int64)
+    bits = 1 << positions
+    # a vertex sits at one position of each bag, so summing weights over the
+    # equal pairs sets one bit per shared vertex
+    weights = np.stack((np.repeat(bits, width), np.tile(bits, width)), axis=1)
+    row = np.dtype((np.void, 8 * (4 + width)))
+    return positions, bits, weights, row
 
 
 def _edge_keys(g: Graph) -> np.ndarray:
@@ -471,21 +422,17 @@ def _run_chain(template, sid, transitions, transition_ids, shapes, shape_ids) ->
     return template, tuple(tids), sid, shift
 
 
-def compute_tables(g: Graph, td: TreeDecomposition | NiceTreeDecomposition) -> DPTables:
+def compute_tables(g: Graph, td: TreeDecomposition) -> DPTables:
     """Evaluate a decomposition bottom-up in one pass over its bags.
 
-    A plain decomposition is rooted by root_decomposition; a nice one is
-    already rooted, and its chains have at most one step. Each bag-to-bag
-    edge is one chain, evaluated once per (signature, child shape); a
-    childless bag starts from a leaf of its lowest vertex, the sides of a
-    bag with several children are joined in child order, and a plain
-    decomposition's root is drained to its lowest vertex. These are the
-    transitions of make_nice's nice form, without building it.
+    The decomposition is rooted by root_decomposition. Each bag-to-bag edge
+    is one chain, evaluated once per (signature, child shape); a childless
+    bag starts from a leaf of its lowest vertex, the sides of a bag with
+    several children are joined in child order, and the root is drained to
+    its lowest vertex. These are the transitions of make_nice's nice form,
+    without building it.
     """
-    if isinstance(td, NiceTreeDecomposition):
-        root, parent, children, order = td.root, td.parent, td.children, td.order
-    else:
-        root, parent, children, order = root_decomposition(td)
+    root, parent, children, order = root_decomposition(td)
     bags = td.bags
     vertices, up_sig, leaf_sig = _signatures(g, bags, parent)
     count = len(parent)
@@ -547,7 +494,7 @@ def compute_tables(g: Graph, td: TreeDecomposition | NiceTreeDecomposition) -> D
         node_shape[t] = sid
         offsets[t] = offset
     root_size = len(bags[root])
-    if root_size > 1 and not isinstance(td, NiceTreeDecomposition):
+    if root_size > 1:
         # forget all but the lowest vertex: a one-vertex parent bag
         drain = _chain_template(np.array([root_size, 1, 1, 1, 0], dtype=np.int64).tobytes())
     else:
@@ -694,8 +641,6 @@ def solve(g: Graph, td: TreeDecomposition | None = None) -> SolveResult:
     otherwise). A caller-supplied decomposition is validated first. The
     returned witness is always re-checked against the packing definition.
     """
-    if g.n == 0:
-        return SolveResult(0, frozenset(), 0)
     # pausing the cyclic collector is safe (nothing here forms cycles) and
     # saves a sizeable fraction on instances with hundreds of thousands of
     # nodes
@@ -705,7 +650,9 @@ def solve(g: Graph, td: TreeDecomposition | None = None) -> SolveResult:
     try:
         if td is not None:
             check_decomposition(g, td)
-        else:
+        if g.n == 0:
+            return SolveResult(0, frozenset(), 0)
+        if td is None:
             try:
                 td = decompose_tree(g)
             except ValueError:  # not a forest

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from tnpack.decomposition import decompose_heuristic, decompose_tree
+import tnpack.treewidth as tw
+from tnpack.decomposition import NiceTreeDecomposition, decompose_heuristic, decompose_tree
 from tnpack.graph import Graph
 from tnpack.instances import (
     complete,
@@ -43,6 +44,18 @@ def zero_gap_mesh_14() -> Graph:
             (1, 5), (5, 2), (2, 6), (0, 4), (4, 7),
         ],
     )
+
+
+def nice_tables(g: Graph, ntd: NiceTreeDecomposition) -> tw.DPTables:
+    """compute_tables on make_nice's form ``ntd``, rooted where ntd is
+    rooted: node t of the result is node t of ntd, every chain has at most
+    one step, and the one-vertex root needs no drain."""
+    rooting = tw.root_decomposition
+    tw.root_decomposition = lambda td: (ntd.root, ntd.parent, ntd.children, ntd.order)
+    try:
+        return tw.compute_tables(g, ntd.to_tree_decomposition())
+    finally:
+        tw.root_decomposition = rooting
 
 
 def build_small_suite() -> list[tuple[str, Graph]]:

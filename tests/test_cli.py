@@ -149,6 +149,15 @@ class TestSolve:
         assert code == 3 and out == ""
         assert "decomposition is over n=5, graph has n=3" in err
 
+    def test_empty_graph_with_foreign_td_rejected(self, capsys, tmp_path):
+        graph = tmp_path / "empty.gr"
+        graph.write_text("p tw 0 0\n")
+        td = tmp_path / "three.td"
+        td.write_text("s td 1 0 3\nb 1\n")
+        code, out, err = run_cli(capsys, "solve", str(graph), "--method", "dp", "--td", str(td))
+        assert code == 3 and out == ""
+        assert "decomposition is over n=3, graph has n=0" in err
+
     def test_supplied_td_validated_once(self, capsys, p6, tmp_path, monkeypatch):
         calls = []
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnpack.decomposition import (
     FORGET,
@@ -363,3 +365,34 @@ class TestTdFormat:
     def test_empty_bag_line(self):
         td = read_td("s td 2 1 1\nb 1 1\nb 2\n1 2\n")
         assert td.bags == (frozenset({0}), frozenset())
+
+
+def assert_round_trip(td):
+    again = read_td(write_td(td))
+    assert (again.n, again.tree, again.bags) == (td.n, td.tree, td.bags)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 0.6), st.integers(0, 2**16))
+def test_td_round_trip_of_built_decompositions(n, p, seed):
+    g = random_graph(n, p, seed)
+    assert_round_trip(decompose_heuristic(g))
+    if g.is_forest():
+        assert_round_trip(decompose_tree(g))
+
+
+@st.composite
+def hand_built_decompositions(draw):
+    """A random tree of 1-8 bags over 0-6 vertices. Bags may be empty, and
+    the bags need not decompose any graph."""
+    count = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 6))
+    tree = random_tree(count, seed=draw(st.integers(0, 2**16)))
+    members = st.frozensets(st.integers(0, max(n - 1, 0)), max_size=n)
+    return TreeDecomposition(n, tree, draw(st.lists(members, min_size=count, max_size=count)))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(hand_built_decompositions())
+def test_td_round_trip_of_hand_built_decompositions(td):
+    assert_round_trip(td)

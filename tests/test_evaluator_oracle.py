@@ -10,6 +10,8 @@ rules are plain Python over them. Every materialized table and every
 witness of the evaluator must equal theirs.
 """
 
+from functools import lru_cache
+
 import pytest
 
 import tnpack.decomposition as decomposition
@@ -29,6 +31,7 @@ from tnpack.graph import Graph, disjoint_union
 from tnpack.instances import cycle, k_c4, random_tree
 from tnpack.treewidth import NEG
 
+from conftest import nice_tables
 from test_transition_programs import oracle_intro_program, oracle_join_states
 
 # -- reference: the per-node evaluator ----------------------------------------
@@ -238,7 +241,7 @@ def nice_for(g: Graph) -> NiceTreeDecomposition:
         base = decompose_tree(g)
     except ValueError:
         base = decompose_heuristic(g)
-    return make_nice(base, g, pre_validated=True)
+    return make_nice(base, g)
 
 
 def assert_matches_reference(g: Graph) -> None:
@@ -246,7 +249,7 @@ def assert_matches_reference(g: Graph) -> None:
         return
     ntd = nice_for(g)
     want_tables, want_value, want_witness = reference_solve(g, ntd)
-    tables = tw.compute_tables(g, ntd)
+    tables = nice_tables(g, ntd)
     assert len(tables) == ntd.node_count
     assert [tables[t] for t in range(ntd.node_count)] == want_tables
     result = tw.solve(g)
@@ -284,7 +287,7 @@ def test_every_traced_entry_matches(dp_suite):
             continue
         ntd = nice_for(g)
         want = reference_compute_tables(g, ntd)
-        tables = tw.compute_tables(g, ntd)
+        tables = nice_tables(g, ntd)
         for t in range(0, ntd.node_count, 3):
             for s in [i for i, x in enumerate(want[t]) if x >= 0][:6]:
                 assert tw.trace_entry(tables, t, s) == reference_trace_entry(
@@ -299,7 +302,7 @@ def test_signature_masks_match(dp_suite):
     graphs = [g for g in dp_suite if g.n] + [random_tree(300, seed=33000), cycle(9)]
     for g in graphs:
         ntd = nice_for(g)
-        tables = tw.compute_tables(g, ntd)
+        tables = nice_tables(g, ntd)
         for t in range(ntd.node_count):
             bag = ntd.bags[t]
             kind = ntd.kinds[t]
@@ -337,13 +340,12 @@ def test_each_distinct_transition_once():
 
 
 def test_chain_cache_stays_bounded(monkeypatch):
-    monkeypatch.setattr(tw, "_chain_cache", {})
-    monkeypatch.setattr(tw, "_CHAIN_CACHE_SIZE", 3)
+    monkeypatch.setattr(tw, "_chain_template", lru_cache(maxsize=3)(tw._chain_template.__wrapped__))
     for g in (cycle(7), k_c4(2).graph, random_tree(50, seed=37000)):
         want = reference_solve(g, nice_for(g))[1:]
         result = tw.solve(g)
         assert (result.value, result.witness) == want
-        assert len(tw._chain_cache) <= 3
+        assert tw._chain_template.cache_info().currsize <= 3
 
 
 # -- plain decompositions against their nice form ------------------------------
@@ -402,7 +404,7 @@ def test_plain_matches_nice_on_20k_tree():
     g = random_tree(20000, seed=36000)
     td = decompose_tree(g)
     # a nice root needs no drain: its table's first maximum is the answer
-    tables = tw.compute_tables(g, make_nice(td, g))
+    tables = nice_tables(g, make_nice(td, g))
     top = tables.shape(tables.root)
     best = int(top.argmax())
     want = (
@@ -431,7 +433,7 @@ def test_shapes_hold_zero_at_state_zero(dp_suite):
     for g in dp_suite[:40]:
         if g.n == 0:
             continue
-        tables = tw.compute_tables(g, nice_for(g))
+        tables = nice_tables(g, nice_for(g))
         assert all(shape[0] == 0 for shape in tables.shapes)
         assert len({shape.tobytes() for shape in tables.shapes}) == len(tables.shapes)
 
@@ -439,7 +441,7 @@ def test_shapes_hold_zero_at_state_zero(dp_suite):
 def test_infeasible_trace_entry_rejected():
     g = cycle(5)
     ntd = nice_for(g)
-    tables = tw.compute_tables(g, ntd)
+    tables = nice_tables(g, ntd)
     t = next(t for t in range(ntd.node_count) if NEG in tables[t])
     with pytest.raises(ValueError, match="infeasible"):
         tw.trace_entry(tables, t, tables[t].index(NEG))

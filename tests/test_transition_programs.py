@@ -14,6 +14,8 @@ from tnpack.decomposition import JOIN, TreeDecomposition, decompose_heuristic, m
 from tnpack.graph import Graph, disjoint_union
 from tnpack.instances import k_c4, random_graph, star
 
+from conftest import nice_tables
+
 
 # -- reference oracle: one state at a time, in plain Python ------------------
 
@@ -184,7 +186,7 @@ def seeded_masks(size, count, seed):
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    monkeypatch.setattr(tw, "_intro_cache", {})
+    tw._intro_entry.cache_clear()
     monkeypatch.setattr(tw, "_join_cache", {})
     monkeypatch.setattr(tw, "_join_cache_bytes", 0)
 
@@ -338,7 +340,7 @@ def test_trace_takes_first_optimal_split(fresh_caches, monkeypatch):
     # the oracle's split lists
     g = PINNED[-1][1]
     ntd = make_nice(decompose_heuristic(g), g)
-    tables = tw.compute_tables(g, ntd)
+    tables = nice_tables(g, ntd)
     entries = [
         (t, s)
         for t in range(ntd.node_count)

@@ -3,28 +3,63 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tnpack.treewidth as tw
-from tnpack.decomposition import JOIN, decompose_heuristic, decompose_tree, make_nice
+from tnpack.decomposition import (
+    JOIN,
+    TreeDecomposition,
+    decompose_heuristic,
+    decompose_tree,
+    make_nice,
+)
 from tnpack.errors import PreconditionError
 from tnpack.graph import Graph, induced_subgraph
-from tnpack.instances import cycle, path, random_tree, star
+from tnpack.instances import cycle, path, random_graph, random_tree, star
 from tnpack.oracles import is_two_neighbour_packing, tnp_brute
-from tnpack.treewidth import (
-    NEG,
-    compute_tables,
-    decode_state,
-    encode_state,
-    solve,
-    trace_entry,
-)
+from tnpack.treewidth import NEG, solve, trace_entry
 
+from conftest import nice_tables
 from test_transition_programs import (
     all_symmetric_masks,
     random_shape,
     reference_join_rule,
     seeded_masks,
 )
+
+
+def encode_state(bag, chosen, counts) -> int:
+    """Index of the state with chosen-set ``chosen`` and neighbour counts
+    ``counts`` (a mapping over the bag) in the table of a node with ``bag``."""
+    index = 0
+    for pos, v in enumerate(sorted(bag)):
+        c = counts[v]
+        if v in chosen:
+            if c not in (1, 2):
+                raise ValueError(f"chosen vertex {v} needs count 1 or 2, got {c}")
+            digit = 2 + c
+        else:
+            if c not in (0, 1, 2):
+                raise ValueError(f"count {c} for vertex {v} out of range")
+            digit = c
+        index += digit * 5**pos
+    return index
+
+
+def decode_state(bag, index) -> tuple[frozenset, dict[int, int]]:
+    """Inverse of encode_state: (chosen subset, per-vertex neighbour count)."""
+    chosen = set()
+    counts = {}
+    for v in sorted(bag):
+        digit = index % 5
+        index //= 5
+        if digit >= 3:
+            chosen.add(v)
+            counts[v] = digit - 2
+        else:
+            counts[v] = digit
+    return frozenset(chosen), counts
 
 
 def td_for(g):
@@ -52,7 +87,7 @@ class TestLeafRule:
         g = path(4)
         ntd = nice_for(g)
         leaf = next(t for t in range(ntd.node_count) if ntd.kinds[t] == 0)
-        table = compute_tables(g, ntd)[leaf]
+        table = nice_tables(g, ntd)[leaf]
         v = ntd.payloads[leaf]
         bag = ntd.bags[leaf]
         assert table[encode_state(bag, frozenset(), {v: 0})] == 0
@@ -76,7 +111,7 @@ class TestForgetRule:
     def test_takes_maximum_over_extensions(self):
         g = path(2)
         ntd = nice_for(g)
-        tables = compute_tables(g, ntd)
+        tables = nice_tables(g, ntd)
         forget = next(t for t in range(ntd.node_count) if ntd.kinds[t] == 2)
         child = ntd.children[forget][0]
         v = ntd.payloads[forget]
@@ -107,13 +142,11 @@ class TestIntroduceRule:
     def test_isolated_in_bag_adds_one(self):
         # two isolated vertices sharing one bag: the introduced vertex has no
         # neighbours inside it
-        from tnpack.decomposition import TreeDecomposition
-
         g = Graph(2, [])
         ntd = make_nice(TreeDecomposition(2, Graph(1), [{0, 1}]), g)
         intro = next(t for t in range(ntd.node_count) if ntd.kinds[t] == 1)
         child = ntd.children[intro][0]
-        tables = compute_tables(g, ntd)
+        tables = nice_tables(g, ntd)
         v = ntd.payloads[intro]
         bag = ntd.bags[intro]
         u = next(x for x in bag if x != v)
@@ -127,7 +160,7 @@ class TestIntroduceRule:
         g = path(2)
         ntd = nice_for(g)
         intro = next(t for t in range(ntd.node_count) if ntd.kinds[t] == 1)
-        tables = compute_tables(g, ntd)
+        tables = nice_tables(g, ntd)
         v = ntd.payloads[intro]
         bag = ntd.bags[intro]
         u = next(x for x in bag if x != v)
@@ -141,7 +174,7 @@ class TestIntroduceRule:
         ntd = nice_for(g)
         intro = next(t for t in range(ntd.node_count) if ntd.kinds[t] == 1)
         child = ntd.children[intro][0]
-        tables = compute_tables(g, ntd)
+        tables = nice_tables(g, ntd)
         v = ntd.payloads[intro]
         bag = ntd.bags[intro]
         u = next(x for x in bag if x != v)
@@ -158,7 +191,7 @@ class TestJoinRule:
         ntd = nice_for(g)
         joins = [t for t in range(ntd.node_count) if ntd.kinds[t] == JOIN]
         assert joins
-        tables = compute_tables(g, ntd)
+        tables = nice_tables(g, ntd)
         t = joins[0]
         left, right = ntd.children[t]
         bag = ntd.bags[t]
@@ -187,7 +220,7 @@ class TestJoinRule:
         g = star(2)
         ntd = nice_for(g)
         joins = [t for t in range(ntd.node_count) if ntd.kinds[t] == JOIN]
-        tables = compute_tables(g, ntd)
+        tables = nice_tables(g, ntd)
         for t in joins:
             left, right = ntd.children[t]
             bag = ntd.bags[t]
@@ -233,7 +266,7 @@ class TestSolve:
             if g.n == 0:
                 continue
             ntd = nice_for(g)
-            tables = compute_tables(g, ntd)
+            tables = nice_tables(g, ntd)
             root = tables[ntd.root]
             finite = [x for x in root if x >= 0]
             assert max(root) == max(finite)
@@ -267,9 +300,26 @@ class TestSolve:
     def test_empty_graph(self):
         assert solve(Graph(0)).value == 0
 
+    def test_empty_graph_rejects_foreign_decomposition(self):
+        td = TreeDecomposition(3, Graph(1), [set()])
+        with pytest.raises(PreconditionError, match="n=3, graph has n=0"):
+            solve(Graph(0), td=td)
+
     def test_trees_match_closed_form(self):
         for n in (1, 2, 7, 30, 100):
             assert solve(path(n)).value == (2 * n + 2) // 3
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 0.4), st.integers(0, 2**16))
+def test_solve_equals_brute_on_random_graphs(n, p, seed):
+    g = random_graph(n, p, seed)
+    # wider bags make join programs too costly for a unit test
+    assume(td_for(g).width <= 4)
+    result = solve(g)
+    assert result.value == tnp_brute(g).value
+    assert len(result.witness) == result.value
+    assert is_two_neighbour_packing(g, result.witness)
 
 
 class TestTableSoundness:
@@ -278,7 +328,7 @@ class TestTableSoundness:
             if g.n < 2:
                 continue
             ntd = nice_for(g)
-            tables = compute_tables(g, ntd)
+            tables = nice_tables(g, ntd)
             for t in range(0, ntd.node_count, max(1, ntd.node_count // 5)):
                 bag = ntd.bags[t]
                 table = tables[t]
