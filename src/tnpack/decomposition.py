@@ -87,21 +87,16 @@ def validate(g: Graph, td: TreeDecomposition) -> list[TdViolation]:
         small, other = (u, v) if len(nodes_of[u]) <= len(nodes_of[v]) else (v, u)
         if not any(other in td.bags[t] for t in nodes_of[small]):
             violations.append(TdViolation(2, (u, v)))
-    for v in range(g.n):
-        occ = nodes_of[v]
-        if len(occ) <= 1:
-            continue
-        members = set(occ)
-        seen = {occ[0]}
-        stack = [occ[0]]
-        while stack:
-            t = stack.pop()
-            for s in td.tree.adj[t]:
-                if s in members and s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        if len(seen) != len(occ):
-            violations.append(TdViolation(3, (v,)))
+    # the bags holding v are connected iff exactly one of them has no parent
+    # bag holding v: count those tops in one pass over the rooted tree
+    parent = td.tree._bfs((0,))[1]
+    tops = [0] * g.n
+    for t, bag in enumerate(td.bags):
+        above = td.bags[parent[t]] if parent[t] >= 0 else ()
+        for v in bag:
+            if v not in above:
+                tops[v] += 1
+    violations += [TdViolation(3, (v,)) for v in range(g.n) if tops[v] > 1]
     return violations
 
 

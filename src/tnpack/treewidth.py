@@ -12,9 +12,9 @@ The program runs on the decomposition's own bags in one pass. Nice form
 (leaf/introduce/forget/join) is the proof device, not a structure the
 program builds or reads: each bag-to-bag edge is one chain of the forget
 and introduce transitions make_nice would put there, a childless bag
-starts from a leaf of its lowest vertex, a bag's sides are joined in child
-order, and the root is drained to its lowest vertex. A chain is keyed by
-its edge signature (sizes, which vertices the bags share, the parent's
+introduces its vertices into the empty table, a bag's sides are joined in
+child order, and the root is drained to its lowest vertex. A chain is keyed
+by its edge signature (sizes, which vertices the bags share, the parent's
 adjacency), computed for every edge in one numpy pass, and by its child
 shape; a 100k-vertex random tree has 99,999 bags but only a few hundred
 distinct chains.
@@ -27,10 +27,11 @@ A shape is one contiguous float64 array with -inf at infeasible states:
 -inf is below every entry and stays -inf under every sum and shift, so no
 rule tests for it. A transition is a node kind, its signature and its child
 shape ids; each distinct transition is evaluated once per solve by the one
-numpy rule of its kind, and the result is interned by its bytes. Leaf,
-introduce and join rules keep state 0 at 0; a forget output is shifted
-back, and the shift goes into the node's offset. ``tables[t]`` on the
-result of compute_tables materializes node t's full table.
+numpy rule of its kind, and the result is interned by its bytes. Shape 0
+is the empty table, the one entry 0 of an empty bag. Introduce and join
+rules keep state 0 at 0; a forget output is shifted back, and the shift
+goes into the node's offset. ``tables[t]`` on the result of
+compute_tables materializes node t's full table.
 
 Introduce and join rules read programs cached per signature. An introduce
 program is one gather of child states plus one add, -inf where the parent
@@ -56,7 +57,6 @@ from .decomposition import (
     FORGET,
     INTRODUCE,
     JOIN,
-    LEAF,
     TreeDecomposition,
     check_decomposition,
     decompose_heuristic,
@@ -70,8 +70,6 @@ from .oracles import SolveResult, is_two_neighbour_packing
 NEG = -1  # infeasible entry of a materialized table
 
 _POW5 = tuple(5 ** i for i in range(28))
-
-_LEAF_KEY = (LEAF,)
 
 # transition programs are built with numpy digit arithmetic and cached by
 # structural signature across solves. Introduce programs are small and kept
@@ -244,8 +242,6 @@ def _transition(key: tuple, shapes: list, shape_ids: dict) -> tuple:
     elif kind == INTRODUCE:
         _, size, pos, mask, child = key
         out = _introduce_rule(shapes[child], size, pos, mask)
-    elif kind == LEAF:
-        out = np.array([0, -np.inf, -np.inf, 1, -np.inf])
     else:
         _, adj_masks, left, right = key
         out = _join_rule(shapes[left], shapes[right], len(adj_masks), adj_masks)
@@ -262,8 +258,9 @@ class DPTables:
     Per node of the rooted decomposition: a shape id and an offset, the
     chain that carries its table to its parent's bag (the root's chain
     drains the root bag to its lowest vertex, and is empty when that bag
-    has at most one vertex), the chain that builds a childless node's table
-    from a leaf, and the join cascade of a node with several children.
+    has at most one vertex), the chain that introduces a childless node's
+    vertices into the empty table (shape 0), and the join cascade of a node
+    with several children.
     ``tables[t]`` materializes node t's table.
     """
 
@@ -365,12 +362,13 @@ def _signatures(g: Graph, bags, parent) -> tuple:
     """Every chain signature of a rooted decomposition in one numpy pass.
 
     A node's edge signature describes the chain from its bag to its
-    parent's; its leaf signature describes the chain from a leaf of its
-    lowest vertex to its bag. Bags are padded with n to one (nodes x width)
-    array and sorted per row, and bag adjacency comes from one searchsorted
-    over the graph's edge keys. A signature is one row of int64 fields (see
-    _chain_template), keyed by its bytes. Returns the sorted padded bags and
-    each node's edge and leaf signature.
+    parent's; its leaf signature describes the chain that introduces its
+    vertices into the empty table, as an edge from an empty bag. Bags are
+    padded with n to one (nodes x width) array and sorted per row, and bag
+    adjacency comes from one searchsorted over the graph's edge keys. A
+    signature is one row of int64 fields (see _chain_template), keyed by
+    its bytes. Returns the sorted padded bags and each node's edge and leaf
+    signature.
     """
     count = len(bags)
     n = g.n
@@ -388,7 +386,7 @@ def _signatures(g: Graph, bags, parent) -> tuple:
     adjacent = keys[keys.searchsorted(pair_keys)] == pair_keys
     # rows[0] holds the edge signatures, rows[1] the leaf signatures
     rows = np.empty((2, count, 4 + width), dtype=np.int64)
-    rows[1, :, :3] = 1
+    rows[1, :, :3] = 0
     rows[1, :, 3] = sizes
     rows[1, :, 4:] = adjacent @ bits
     # parent -1 (the root, a pruned node) reads the last bag: an edge
@@ -401,9 +399,6 @@ def _signatures(g: Graph, bags, parent) -> tuple:
     rows[0, :, 3:] = rows[1, ups, 3:]
     sig_keys = rows.view(row).ravel().tolist()
     return vertices, sig_keys[:count], sig_keys[count:]
-
-
-_NO_STEPS = ((), (), ())
 
 
 def _run_chain(template, sid, transitions, transition_ids, shapes, shape_ids) -> tuple:
@@ -427,10 +422,10 @@ def compute_tables(g: Graph, td: TreeDecomposition) -> DPTables:
 
     The decomposition is rooted by root_decomposition. Each bag-to-bag edge
     is one chain, evaluated once per (signature, child shape); a childless
-    bag starts from a leaf of its lowest vertex, the sides of a bag with
-    several children are joined in child order, and the root is drained to
-    its lowest vertex. These are the transitions of make_nice's nice form,
-    without building it.
+    bag introduces its vertices into the empty table, the sides of a bag
+    with several children are joined in child order, and the root is
+    drained to its lowest vertex. These are the transitions of make_nice's
+    nice form, without building it.
     """
     root, parent, children, order = root_decomposition(td)
     bags = td.bags
@@ -441,27 +436,27 @@ def compute_tables(g: Graph, td: TreeDecomposition) -> DPTables:
     up_chain = [-1] * count
     leaf_chain = [-1] * count
     joins: dict[int, list[int]] = {}
-    shapes: list[np.ndarray] = []
-    shape_ids: dict[bytes, int] = {}
-    transitions = [_transition(_LEAF_KEY, shapes, shape_ids)]
-    transition_ids = {_LEAF_KEY: 0}
-    leaf_sid = transitions[0][1]
+    empty = np.zeros(1)
+    shapes = [empty]
+    shape_ids = {empty.tobytes(): 0}
+    transitions: list[tuple] = []
+    transition_ids: dict[tuple, int] = {}
     chains: list[tuple] = []
     chain_ids: dict[tuple[bytes, int], int] = {}
     steps = 0
     for t in order:
         kids = children[t]
         if not kids:
-            key = (leaf_sig[t], leaf_sid)
+            key = (leaf_sig[t], 0)
             cid = chain_ids.get(key)
             if cid is None:
                 cid = chain_ids[key] = len(chains)
                 chains.append(
-                    _run_chain(_chain_template(key[0]), leaf_sid, transitions, transition_ids, shapes, shape_ids)
+                    _run_chain(_chain_template(key[0]), 0, transitions, transition_ids, shapes, shape_ids)
                 )
             leaf_chain[t] = cid
             _, tids, node_shape[t], offsets[t] = chains[cid]
-            steps += 1 + len(tids)
+            steps += len(tids)
             continue
         cascade = None
         sid = -1
@@ -493,12 +488,10 @@ def compute_tables(g: Graph, td: TreeDecomposition) -> DPTables:
             steps += 1
         node_shape[t] = sid
         offsets[t] = offset
-    root_size = len(bags[root])
-    if root_size > 1:
-        # forget all but the lowest vertex: a one-vertex parent bag
-        drain = _chain_template(np.array([root_size, 1, 1, 1, 0], dtype=np.int64).tobytes())
-    else:
-        drain = _NO_STEPS
+    # forget all but the lowest vertex: no step for a root of at most one
+    size = len(bags[root])
+    one = min(size, 1)
+    drain = _chain_template(np.array([size, one, one, one, 0], dtype=np.int64).tobytes())
     up_chain[root] = len(chains)
     chains.append(_run_chain(drain, node_shape[root], transitions, transition_ids, shapes, shape_ids))
     steps += len(drain[0])
@@ -583,7 +576,10 @@ def trace_entry(tables: DPTables, node: int, state: int) -> frozenset:
     (chain, state); the choices are deterministic (first candidate in
     canonical order)."""
     shapes = tables.shapes
-    if shapes[tables.node_shape[node]][state] == -np.inf:
+    shape = shapes[tables.node_shape[node]]
+    if not 0 <= state < len(shape):
+        raise ValueError(f"state {state} at node {node} is outside range({len(shape)})")
+    if shape[state] == -np.inf:
         raise ValueError(f"entry {state} at node {node} is infeasible")
     children = tables.children
     up_chain = tables.up_chain
@@ -603,9 +599,7 @@ def trace_entry(tables: DPTables, node: int, state: int) -> frozenset:
             kids = children[t]
             if not kids:
                 cid = leaf_chain[t]
-                s, positions = replays.get((cid, s)) or _replay(tables, cid, s, picks, replays)
-                if s == 3:  # the leaf's vertex, the bag's lowest, is chosen
-                    positions += (0,)
+                _, positions = replays.get((cid, s)) or _replay(tables, cid, s, picks, replays)
                 if positions:
                     chosen += [t * width + j for j in positions]
                 break

@@ -396,3 +396,31 @@ def hand_built_decompositions(draw):
 @given(hand_built_decompositions())
 def test_td_round_trip_of_hand_built_decompositions(td):
     assert_round_trip(td)
+
+
+def reference_disconnected_vertices(td: TreeDecomposition) -> list[int]:
+    """Vertices whose bags do not form a subtree, by one search per vertex."""
+    found = []
+    for v in range(td.n):
+        occ = [t for t, bag in enumerate(td.bags) if v in bag]
+        if len(occ) <= 1:
+            continue
+        seen = {occ[0]}
+        stack = [occ[0]]
+        while stack:
+            t = stack.pop()
+            for s in td.tree.adj[t]:
+                if v in td.bags[s] and s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        if len(seen) != len(occ):
+            found.append(v)
+    return found
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(hand_built_decompositions())
+def test_connectivity_condition_matches_per_vertex_search(td):
+    violations = validate(Graph(td.n), td)
+    got = [v.offender[0] for v in violations if v.condition == 3]
+    assert got == reference_disconnected_vertices(td)

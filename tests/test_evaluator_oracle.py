@@ -28,7 +28,7 @@ from tnpack.decomposition import (
     make_nice,
 )
 from tnpack.graph import Graph, disjoint_union
-from tnpack.instances import cycle, k_c4, random_tree
+from tnpack.instances import cycle, k_c4, path, random_tree
 from tnpack.treewidth import NEG
 
 from conftest import nice_tables
@@ -236,12 +236,15 @@ def reference_solve(g: Graph, ntd: NiceTreeDecomposition):
 # -- equality -------------------------------------------------------------------
 
 
-def nice_for(g: Graph) -> NiceTreeDecomposition:
+def plain_for(g: Graph) -> TreeDecomposition:
     try:
-        base = decompose_tree(g)
+        return decompose_tree(g)
     except ValueError:
-        base = decompose_heuristic(g)
-    return make_nice(base, g)
+        return decompose_heuristic(g)
+
+
+def nice_for(g: Graph) -> NiceTreeDecomposition:
+    return make_nice(plain_for(g), g)
 
 
 def assert_matches_reference(g: Graph) -> None:
@@ -381,21 +384,41 @@ def test_plain_matches_nice_on_forests(isolated):
     assert_plain_matches_nice(g, decompose_tree(g))
 
 
+def internal_empty_bag_case() -> tuple[Graph, TreeDecomposition]:
+    g = Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
+    tree = Graph(7, [(0, 1), (1, 2), (0, 3), (0, 4), (0, 5), (4, 6)])
+    return g, TreeDecomposition(7, tree, [set(), {0, 1}, {1, 2}, {3, 4}, {5, 6}, set(), {6}])
+
+
+def one_vertex_root_case() -> tuple[Graph, TreeDecomposition]:
+    tree = Graph(3, [(0, 1), (0, 2)])
+    return path(3), TreeDecomposition(3, tree, [{1}, {0, 1}, {1, 2}])
+
+
+def wide_root_case() -> tuple[Graph, TreeDecomposition]:
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
+    tree = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    return g, TreeDecomposition(5, tree, [{0, 1, 2}, {0, 1}, {0, 2}, {0, 3}, {3, 4}])
+
+
 def test_plain_matches_nice_with_internal_empty_bag():
     # node 0 has an empty bag and, once the empty leaf 5 is pruned, three
     # children: it is the root, and its sides meet in a join cascade
-    g = Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
-    tree = Graph(7, [(0, 1), (1, 2), (0, 3), (0, 4), (0, 5), (4, 6)])
-    td = TreeDecomposition(7, tree, [set(), {0, 1}, {1, 2}, {3, 4}, {5, 6}, set(), {6}])
+    g, td = internal_empty_bag_case()
     root, _, children, _ = decomposition.root_decomposition(td)
     assert root == 0 and len(children[0]) == 3
     assert_plain_matches_nice(g, td)
 
 
+def test_plain_matches_nice_with_one_vertex_root():
+    g, td = one_vertex_root_case()
+    root = decomposition.root_decomposition(td)[0]
+    assert len(td.bags[root]) == 1
+    assert_plain_matches_nice(g, td)
+
+
 def test_plain_matches_nice_with_wide_root():
-    g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
-    tree = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-    td = TreeDecomposition(5, tree, [{0, 1, 2}, {0, 1}, {0, 2}, {0, 3}, {3, 4}])
+    g, td = wide_root_case()
     assert decomposition.root_decomposition(td)[0] == 0
     assert_plain_matches_nice(g, td)
 
@@ -445,3 +468,78 @@ def test_infeasible_trace_entry_rejected():
     t = next(t for t in range(ntd.node_count) if NEG in tables[t])
     with pytest.raises(ValueError, match="infeasible"):
         tw.trace_entry(tables, t, tables[t].index(NEG))
+
+
+@pytest.mark.parametrize("state", [-1, 25])
+def test_trace_entry_state_out_of_range_rejected(state):
+    # node 0 of path(4)'s decomposition has two vertices: states 0..24
+    g = path(4)
+    tables = tw.compute_tables(g, decompose_tree(g))
+    assert len(tables.shape(0)) == 25
+    with pytest.raises(ValueError, match="outside range"):
+        tw.trace_entry(tables, 0, state)
+
+
+# -- every chain starts from the empty table ------------------------------------
+
+
+def test_no_transition_is_a_leaf(dp_suite):
+    for g in dp_suite:
+        if g.n == 0:
+            continue
+        for tables in (tw.compute_tables(g, plain_for(g)), nice_tables(g, nice_for(g))):
+            assert all(key[0] != LEAF for key, _, _ in tables.transitions)
+
+
+def test_leaf_chains_start_from_the_empty_table(dp_suite):
+    for g in dp_suite:
+        if g.n == 0:
+            continue
+        td = plain_for(g)
+        tables = tw.compute_tables(g, td)
+        assert tables.shapes[0].tolist() == [0.0]
+        for t, cid in enumerate(tables.leaf_chain):
+            if cid < 0:
+                continue
+            _, tids, _, _ = tables.chains[cid]
+            # one introduce per bag vertex, the first into shape 0
+            assert len(tids) == len(td.bags[t])
+            assert all(tables.transitions[tid][0][0] == INTRODUCE for tid in tids)
+            assert tables.transitions[tids[0]][0][-1] == 0
+
+
+def test_lone_empty_bag_is_the_empty_table():
+    tables = tw.compute_tables(Graph(0), TreeDecomposition(0, Graph(1), [set()]))
+    assert (tables[0], tables.steps) == ([0], 0)
+    assert tw.trace_entry(tables, 0, 0) == frozenset()
+
+
+def test_leaves_and_disjoint_edges_share_the_empty_introduce():
+    g = Graph(4, [(0, 1), (2, 3)])
+    td = decompose_heuristic(g)
+    _, parent, children, order = decomposition.root_decomposition(td)
+    tables = tw.compute_tables(g, td)
+    tid = [key for key, _, _ in tables.transitions].index((INTRODUCE, 1, 0, 0, 0))
+    leaves = [t for t in order if not children[t]]
+    disjoint = [t for t in order if parent[t] >= 0 and not td.bags[t] & td.bags[parent[t]]]
+    assert len(leaves) == 2 and len(disjoint) == 1
+    for t in leaves:
+        assert tables.chains[tables.leaf_chain[t]][1][0] == tid
+    for t in disjoint:
+        # the edge forgets the whole bag, then introduces into shape 0
+        tids = tables.chains[tables.up_chain[t]][1]
+        assert tids[len(td.bags[t])] == tid
+
+
+@pytest.mark.parametrize(
+    "case, size", [(internal_empty_bag_case, 0), (one_vertex_root_case, 1), (wide_root_case, 3)]
+)
+def test_one_drain_for_every_root_size(case, size):
+    g, td = case()
+    tables = tw.compute_tables(g, td)
+    assert len(td.bags[tables.root]) == size
+    template, _, sid, _ = tables.chains[tables.up_chain[tables.root]]
+    # every vertex above the lowest is forgotten; a root of at most one
+    # vertex keeps its bag
+    assert template[0] == ((FORGET, 1),) * (size - 1)
+    assert len(tables.shapes[sid]) == 5 ** min(size, 1)
