@@ -1,17 +1,22 @@
 """Tree decompositions: construction, validation, normalization, PACE .td I/O.
 
-Two constructions are provided: an exact width-<=1 decomposition for forests
-and a min-fill elimination heuristic for general graphs (an upper bound on
-the tree-width, not necessarily optimal). ``make_nice`` rewrites any valid
-decomposition into the leaf/introduce/forget/join normal form; it is a
-standalone utility, since the dynamic program evaluates those transitions
-on the plain decomposition without building it.
+Two constructions are provided: an exact width-<=1 decomposition for forests,
+one bag per vertex from one breadth-first search (``root_forest`` returns it
+rooted, as the dynamic program reads it; ``decompose_tree`` returns it as a
+TreeDecomposition), and a min-fill elimination heuristic for general graphs
+(an upper bound on the tree-width, not necessarily optimal). ``make_nice``
+rewrites any valid decomposition into the leaf/introduce/forget/join normal
+form; it is a standalone utility, since the dynamic program evaluates those
+transitions on the plain decomposition without building it.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import chain, islice
+
+import numpy as np
 
 from .errors import ParseError, PreconditionError
 from .graph import Graph
@@ -100,58 +105,65 @@ def validate(g: Graph, td: TreeDecomposition) -> list[TdViolation]:
     return violations
 
 
-def decompose_tree(g: Graph) -> TreeDecomposition:
-    """Exact decomposition of a forest: one two-vertex bag per edge, chained
-    along a DFS, plus singleton bags for isolated vertices. Width is 1, or 0
-    for an edgeless graph."""
-    if g.n == 0:
+def root_forest(g: Graph):
+    """A forest's own width-<=1 decomposition, rooted, from one breadth-first
+    search: ``(root, parent, children, order, vertices, sizes)``, the
+    rooting of root_decomposition plus the bags as the dynamic program
+    reads them.
+
+    The search starts at the lowest-numbered vertex of maximum degree and
+    then at every vertex in id order, so it reaches every component. Node k
+    is the k-th vertex reached; its bag is that vertex and its search
+    parent, or the vertex alone at a search root. The bag tree is the search
+    forest with every other component's root hung below node 0, the root.
+    ``parent`` is an int64 array (-1 at the root), each node's children are
+    the later nodes whose parent it is, in node order, ``order`` runs from
+    node n - 1 down to node 0, and ``vertices`` holds the bags as the sorted
+    rows of an (n x 2) int64 array padded with n, ``sizes`` their sizes.
+    Node 0 has the most neighbours in the bag tree and is the lowest such
+    node, so root_decomposition roots decompose_tree's result the same way.
+    Raises ValueError unless g is a forest: one with n minus one edge per
+    search root.
+    """
+    n = g.n
+    if n == 0:
         raise ValueError("empty graph has no tree decomposition")
-    if g.m >= g.n:  # more edges than a forest on n vertices can have
+    if g.m >= n:  # more edges than a forest on n vertices can have
         raise ValueError("input graph contains a cycle")
-    bags: list[tuple[int, ...]] = []
-    td_edges: list[tuple[int, int]] = []
-    anchors: list[int] = []
-    seen = [False] * g.n
-    discovery_bag = [-1] * g.n
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        if not g.adj[start]:
-            bags.append((start,))
-            anchors.append(len(bags) - 1)
-            continue
-        anchor = -1
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in reversed(g.adj[v]):
-                if seen[u]:
-                    continue
-                seen[u] = True
-                bags.append((v, u))
-                node = len(bags) - 1
-                discovery_bag[u] = node
-                if v == start:
-                    if anchor < 0:
-                        anchor = node
-                    else:
-                        td_edges.append((node, anchor))
-                else:
-                    td_edges.append((node, discovery_bag[v]))
-                stack.append(u)
-        anchors.append(anchor)
-    # the search discovers n - c edges over c components, one per bag of
-    # two; the graph is a forest iff these are all of its edges
-    if g.m != g.n - len(anchors):
+    degrees = list(map(len, g.adj))
+    reached, up = g._bfs(chain((degrees.index(max(degrees)),), range(n)))
+    if g.m != n - up.count(-1):
         raise ValueError("input graph contains a cycle")
-    td_edges.extend((anchors[i], anchors[i + 1]) for i in range(len(anchors) - 1))
-    adj: list[list[int]] = [[] for _ in range(len(bags))]
-    for a, b in td_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    tree = Graph._trusted(len(bags), tuple(tuple(sorted(a)) for a in adj), len(td_edges))
-    return TreeDecomposition._trusted(g.n, tree, bags)
+    vertex = np.array(reached, dtype=np.int64)
+    above = np.array(up, dtype=np.int64)[vertex]
+    is_root = above < 0
+    node = np.empty(n, dtype=np.int64)
+    node[vertex] = np.arange(n)
+    parent = node[above]
+    parent[is_root] = 0  # every other search root hangs below node 0
+    parent[0] = -1
+    other = np.where(is_root, n, above)
+    vertices = np.empty((n, 2), dtype=np.int64)
+    np.minimum(vertex, other, out=vertices[:, 0])
+    np.maximum(vertex, other, out=vertices[:, 1])
+    # a stable sort by parent lists each node's children in node order
+    kids = iter((np.argsort(parent[1:], kind="stable") + 1).tolist())
+    counts = np.bincount(parent[1:], minlength=n).tolist()
+    children = [tuple(islice(kids, c)) for c in counts]
+    return 0, parent, children, range(n - 1, -1, -1), vertices, 2 - is_root
+
+
+def decompose_tree(g: Graph) -> TreeDecomposition:
+    """Exact decomposition of a forest: the bags and bag tree of
+    root_forest, one bag per vertex in breadth-first search order from the
+    lowest-numbered vertex of maximum degree. Width is 1, or 0 for an
+    edgeless graph. Raises ValueError unless g is a forest."""
+    _, parent, children, _, vertices, sizes = root_forest(g)
+    adj = tuple(
+        (p, *kids) if p >= 0 else kids for p, kids in zip(parent.tolist(), children)
+    )
+    bags = [row[:size] for row, size in zip(vertices.tolist(), sizes.tolist())]
+    return TreeDecomposition._trusted(g.n, Graph._trusted(g.n, adj, g.n - 1), bags)
 
 
 def decompose_heuristic(g: Graph) -> TreeDecomposition:
@@ -342,7 +354,7 @@ def check_decomposition(g: Graph, td: TreeDecomposition) -> None:
 
 
 def root_decomposition(td: TreeDecomposition):
-    """The rooting make_nice and the dynamic program share: ``(root, parent,
+    """The rooting make_nice and compute_tables share: ``(root, parent,
     children, order)``.
 
     Empty-bag leaves are pruned until none is left (one node always stays),

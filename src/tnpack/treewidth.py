@@ -16,8 +16,11 @@ introduces its vertices into the empty table, a bag's sides are joined in
 child order, and the root is drained to its lowest vertex. A chain is keyed
 by its edge signature (sizes, which vertices the bags share, the parent's
 adjacency), computed for every edge in one numpy pass, and by its child
-shape; a 100k-vertex random tree has 99,999 bags but only a few hundred
-distinct chains.
+shape. A forest needs no decomposition step: solve evaluates root_forest's
+rooting of it, one bag per vertex in breadth-first search order holding the
+vertex and its search parent, so a 100k-vertex random tree has 100,000 bags
+but only a few hundred distinct chains. Any other decomposition is rooted
+by root_decomposition and its bags sorted into the same padded array.
 
 Taken up to an additive constant, the tables of a decomposition fall into
 few distinct shapes, so the evaluator stores a shape id and an offset per
@@ -60,9 +63,10 @@ from .decomposition import (
     TreeDecomposition,
     check_decomposition,
     decompose_heuristic,
-    decompose_tree,
+    decompose_tree,  # noqa: F401  (perfbench/spans.py traces it here; solve does not call it)
     make_nice,  # noqa: F401  (perfbench/spans.py traces it here; solve does not call it)
     root_decomposition,
+    root_forest,
 )
 from .graph import Graph
 from .oracles import SolveResult, is_two_neighbour_packing
@@ -358,28 +362,21 @@ def _edge_keys(g: Graph) -> np.ndarray:
     return keys
 
 
-def _signatures(g: Graph, bags, parent) -> tuple:
+def _signatures(g: Graph, vertices: np.ndarray, sizes: np.ndarray, parent) -> tuple:
     """Every chain signature of a rooted decomposition in one numpy pass.
 
     A node's edge signature describes the chain from its bag to its
     parent's; its leaf signature describes the chain that introduces its
-    vertices into the empty table, as an edge from an empty bag. Bags are
-    padded with n to one (nodes x width) array and sorted per row, and bag
-    adjacency comes from one searchsorted over the graph's edge keys. A
-    signature is one row of int64 fields (see _chain_template), keyed by
-    its bytes. Returns the sorted padded bags and each node's edge and leaf
-    signature.
+    vertices into the empty table, as an edge from an empty bag. The bags
+    come as one (nodes x width) array, each row sorted and padded with n,
+    and bag adjacency comes from one searchsorted over the graph's edge
+    keys. A signature is one row of int64 fields (see _chain_template),
+    keyed by its bytes. Returns each node's edge and leaf signature.
     """
-    count = len(bags)
+    count, width = vertices.shape
     n = g.n
-    sizes = np.fromiter(map(len, bags), np.int64, count)
-    width = int(np.maximum.reduce(sizes))
     positions, bits, weights, row = _positions(width)
     valid = positions < sizes[:, None]
-    vertices = np.empty((count, width), dtype=np.int64)
-    vertices.fill(n)
-    vertices[valid] = np.fromiter(chain.from_iterable(bags), np.int64)
-    vertices.sort(axis=1)
     keys = _edge_keys(g)
     # the keys of every ordered pair of bag positions; padding matches none
     pair_keys = vertices[:, :, None] * (n + 1) + vertices[:, None, :]
@@ -390,15 +387,15 @@ def _signatures(g: Graph, bags, parent) -> tuple:
     rows[1, :, 3] = sizes
     rows[1, :, 4:] = adjacent @ bits
     # parent -1 (the root, a pruned node) reads the last bag: an edge
-    # signature compute_tables never looks up
-    ups = np.fromiter(parent, np.int64, count)
+    # signature the evaluator never looks up
+    ups = np.asarray(parent, dtype=np.int64)
     same = vertices[:, :, None] == vertices[ups][:, None, :]
     same &= valid[:, :, None]
     rows[0, :, 0] = sizes
     rows[0, :, 1:3] = same.reshape(count, -1) @ weights
     rows[0, :, 3:] = rows[1, ups, 3:]
     sig_keys = rows.view(row).ravel().tolist()
-    return vertices, sig_keys[:count], sig_keys[count:]
+    return sig_keys[:count], sig_keys[count:]
 
 
 def _run_chain(template, sid, transitions, transition_ids, shapes, shape_ids) -> tuple:
@@ -420,16 +417,34 @@ def _run_chain(template, sid, transitions, transition_ids, shapes, shape_ids) ->
 def compute_tables(g: Graph, td: TreeDecomposition) -> DPTables:
     """Evaluate a decomposition bottom-up in one pass over its bags.
 
-    The decomposition is rooted by root_decomposition. Each bag-to-bag edge
-    is one chain, evaluated once per (signature, child shape); a childless
-    bag introduces its vertices into the empty table, the sides of a bag
-    with several children are joined in child order, and the root is
-    drained to its lowest vertex. These are the transitions of make_nice's
-    nice form, without building it.
+    The decomposition is rooted by root_decomposition, its bags are sorted
+    into one array padded with n, and _evaluate runs the transitions of
+    make_nice's nice form on them, without building it.
     """
     root, parent, children, order = root_decomposition(td)
     bags = td.bags
-    vertices, up_sig, leaf_sig = _signatures(g, bags, parent)
+    count = len(bags)
+    sizes = np.fromiter(map(len, bags), np.int64, count)
+    width = int(np.maximum.reduce(sizes))
+    vertices = np.empty((count, width), dtype=np.int64)
+    vertices.fill(g.n)
+    valid = np.arange(width) < sizes[:, None]
+    vertices[valid] = np.fromiter(chain.from_iterable(bags), np.int64)
+    vertices.sort(axis=1)
+    return _evaluate(g, root, parent, children, order, vertices, sizes)
+
+
+def _evaluate(g: Graph, root: int, parent, children, order, vertices, sizes) -> DPTables:
+    """The one evaluator: a rooted decomposition (as root_decomposition or
+    root_forest returns it) and its bags as sorted rows padded with n,
+    evaluated bottom-up over ``order``.
+
+    Each bag-to-bag edge is one chain, evaluated once per (signature, child
+    shape); a childless bag introduces its vertices into the empty table,
+    the sides of a bag with several children are joined in child order, and
+    the root is drained to its lowest vertex.
+    """
+    up_sig, leaf_sig = _signatures(g, vertices, sizes, parent)
     count = len(parent)
     node_shape = [0] * count
     offsets = [0] * count
@@ -489,7 +504,7 @@ def compute_tables(g: Graph, td: TreeDecomposition) -> DPTables:
         node_shape[t] = sid
         offsets[t] = offset
     # forget all but the lowest vertex: no step for a root of at most one
-    size = len(bags[root])
+    size = int(sizes[root])
     one = min(size, 1)
     drain = _chain_template(np.array([size, one, one, one, 0], dtype=np.int64).tobytes())
     up_chain[root] = len(chains)
@@ -575,6 +590,8 @@ def trace_entry(tables: DPTables, node: int, state: int) -> frozenset:
     derived once per (transition, state) and every chain replayed once per
     (chain, state); the choices are deterministic (first candidate in
     canonical order)."""
+    if not 0 <= node < len(tables):
+        raise ValueError(f"node {node} is outside range({len(tables)})")
     shapes = tables.shapes
     shape = shapes[tables.node_shape[node]]
     if not 0 <= state < len(shape):
@@ -631,9 +648,10 @@ def trace_entry(tables: DPTables, node: int, state: int) -> frozenset:
 def solve(g: Graph, td: TreeDecomposition | None = None) -> SolveResult:
     """Maximum two-neighbour packing via the decomposition dynamic program.
 
-    Without a decomposition one is built (exact for forests, min-fill
-    otherwise). A caller-supplied decomposition is validated first. The
-    returned witness is always re-checked against the packing definition.
+    Without a decomposition a forest is evaluated on root_forest's rooting
+    of itself, and any other graph on its min-fill decomposition. A
+    caller-supplied decomposition is validated first. The returned witness
+    is always re-checked against the packing definition.
     """
     # pausing the cyclic collector is safe (nothing here forms cycles) and
     # saves a sizeable fraction on instances with hundreds of thousands of
@@ -646,12 +664,15 @@ def solve(g: Graph, td: TreeDecomposition | None = None) -> SolveResult:
             check_decomposition(g, td)
         if g.n == 0:
             return SolveResult(0, frozenset(), 0)
-        if td is None:
+        if td is not None:
+            tables = compute_tables(g, td)
+        else:
             try:
-                td = decompose_tree(g)
+                rooting = root_forest(g)
             except ValueError:  # not a forest
-                td = decompose_heuristic(g)
-        tables = compute_tables(g, td)
+                tables = compute_tables(g, decompose_heuristic(g))
+            else:
+                tables = _evaluate(g, *rooting)
         root = tables.root
         drain = tables.up_chain[root]
         _, _, sid, shift = tables.chains[drain]
@@ -665,7 +686,7 @@ def solve(g: Graph, td: TreeDecomposition | None = None) -> SolveResult:
     finally:
         # free the tables and the decomposition while the collector is
         # still off, so that its first sweep does not walk them
-        tables = top = td = None
+        tables = top = td = rooting = None
         if gc_was_enabled:
             gc.enable()
     if len(witness) != value or not is_two_neighbour_packing(g, witness):

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,9 +79,11 @@ class TestConstructorChecks:
 
 class TestDecomposeTree:
     def test_path4(self):
+        # one bag per vertex: the search root 1 alone, every other vertex
+        # with its search parent
         td = decompose_tree(path(4))
         assert td.width == 1
-        assert sorted(sorted(b) for b in td.bags) == [[0, 1], [1, 2], [2, 3]]
+        assert sorted(sorted(b) for b in td.bags) == [[0, 1], [1], [1, 2], [2, 3]]
         assert validate(path(4), td) == []
 
     def test_single_vertex(self):
@@ -88,7 +92,7 @@ class TestDecomposeTree:
 
     def test_star(self):
         td = decompose_tree(star(4))
-        assert td.tree.n == 4
+        assert td.tree.n == 5
         assert all(0 in bag for bag in td.bags)
         assert validate(star(4), td) == []
 
@@ -111,47 +115,37 @@ class TestDecomposeTree:
 
 
 def reference_decompose_tree(g: Graph) -> TreeDecomposition:
-    """decompose_tree as it was with a separate is_forest pass, kept as the
-    reference for the forest test folded into its search."""
+    """decompose_tree's construction written out with its own search and a
+    separate forest test: one bag per vertex in breadth-first search order
+    from the lowest-numbered vertex of maximum degree, then from every
+    vertex in id order; a vertex's bag holds its search parent too, and
+    every search root but the first hangs below node 0."""
     if g.n == 0:
         raise ValueError("empty graph has no tree decomposition")
-    if not g.is_forest():
-        raise ValueError("input graph contains a cycle")
-    bags = []
-    td_edges = []
-    anchors = []
-    seen = [False] * g.n
-    discovery_bag = [-1] * g.n
-    for start in range(g.n):
+    n = g.n
+    top = max(range(n), key=lambda v: (len(g.adj[v]), -v))
+    reached = []
+    up = [None] * n
+    seen = [False] * n
+    for start in [top, *range(n)]:
         if seen[start]:
             continue
         seen[start] = True
-        if not g.adj[start]:
-            bags.append((start,))
-            anchors.append(len(bags) - 1)
-            continue
-        anchor = -1
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in reversed(g.adj[v]):
-                if seen[u]:
-                    continue
-                seen[u] = True
-                bags.append((v, u))
-                node = len(bags) - 1
-                discovery_bag[u] = node
-                if v == start:
-                    if anchor < 0:
-                        anchor = node
-                    else:
-                        td_edges.append((node, anchor))
-                else:
-                    td_edges.append((node, discovery_bag[v]))
-                stack.append(u)
-        anchors.append(anchor)
-    td_edges.extend((anchors[i], anchors[i + 1]) for i in range(len(anchors) - 1))
-    return TreeDecomposition(g.n, Graph(len(bags), td_edges), bags)
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            reached.append(v)
+            for u in g.adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    up[u] = v
+                    queue.append(u)
+    if g.m != n - up.count(None):
+        raise ValueError("input graph contains a cycle")
+    node = {v: k for k, v in enumerate(reached)}
+    bags = [(v,) if up[v] is None else (up[v], v) for v in reached]
+    edges = [(k, 0 if up[v] is None else node[up[v]]) for k, v in enumerate(reached) if k]
+    return TreeDecomposition(n, Graph(n, edges), bags)
 
 
 def disjoint_union(*graphs: Graph, seed: int = 0) -> Graph:
@@ -244,14 +238,15 @@ class TestMakeNice:
         assert ntd.kinds[ntd.root] == LEAF
 
     def test_path3_chain(self):
+        # the bags {1}, {0, 1}, {1, 2}: one chain per side of the root {1},
+        # each a leaf, an introduce and a forget, then one join
         g = path(3)
         ntd = make_nice(decompose_tree(g), g)
         assert ntd.structural_violations() == []
         assert validate(g, ntd.to_tree_decomposition()) == []
         counts = _kind_counts(ntd)
-        assert counts[LEAF] == 1 and counts[JOIN] == 0
-        assert counts[INTRODUCE] >= 1 and counts[FORGET] >= 1
-        assert len(ntd.bags[ntd.root]) == 1
+        assert counts == {LEAF: 2, INTRODUCE: 2, FORGET: 2, JOIN: 1}
+        assert ntd.bags[ntd.root] == (1,)
 
     def test_cycle6_bounds(self):
         g = cycle(6)

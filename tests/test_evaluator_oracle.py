@@ -472,12 +472,22 @@ def test_infeasible_trace_entry_rejected():
 
 @pytest.mark.parametrize("state", [-1, 25])
 def test_trace_entry_state_out_of_range_rejected(state):
-    # node 0 of path(4)'s decomposition has two vertices: states 0..24
+    # node 1 of path(4)'s decomposition has two vertices: states 0..24
     g = path(4)
     tables = tw.compute_tables(g, decompose_tree(g))
-    assert len(tables.shape(0)) == 25
+    assert len(tables.shape(1)) == 25
     with pytest.raises(ValueError, match="outside range"):
-        tw.trace_entry(tables, 0, state)
+        tw.trace_entry(tables, 1, state)
+
+
+@pytest.mark.parametrize("node", [-1, 4])
+def test_trace_entry_node_out_of_range_rejected(node):
+    # path(4)'s decomposition has nodes 0..3; -1 must not wrap around to 3
+    g = path(4)
+    tables = tw.compute_tables(g, decompose_tree(g))
+    assert len(tables) == 4
+    with pytest.raises(ValueError, match="outside range"):
+        tw.trace_entry(tables, node, 0)
 
 
 # -- every chain starts from the empty table ------------------------------------
