@@ -36,16 +36,22 @@ rules keep state 0 at 0; a forget output is shifted back, and the shift
 goes into the node's offset. ``tables[t]`` on the result of
 compute_tables materializes node t's full table.
 
-Introduce and join rules read programs cached per signature. An introduce
-program is one gather of child states plus one add, -inf where the parent
-state is infeasible. A join program lists all (left state, right state)
-splits of every state, grouped by state in canonical order.
+An introduce rule reads a program cached per signature: one gather of
+child states plus one add, -inf where the parent state is infeasible. The
+join reads only the finite entries of its two child shapes. A left and a
+right state with the same chosen set B split a parent state exactly when
+every position's parent count, the sum of the side counts minus the ones
+both sides see, is in range; the parent index is then linear in the two
+child indices. The rule keeps the best pair per parent state and records
+it, the first optimal split in canonical order (left digits, position 0
+most significant), so its work grows with the finite child entries, not
+with 9**|bag| splits, and it holds nothing across solves.
 
-Witnesses are reconstructed by one root-to-leaves trace that reads the same
-programs. Its choices (the child state of an introduce, the lowest forget
-digit, the first optimal join split in canonical order) do not depend on
-offsets, so each is derived once per (transition, state) from the shapes,
-and each chain is replayed once per (chain, state), last step first.
+Witnesses are reconstructed by one root-to-leaves trace. Its choices (the
+child state of an introduce, the lowest forget digit, the join split its
+rule recorded) do not depend on offsets, so each is derived once per
+(transition, state), and each chain is replayed once per (chain, state),
+last step first.
 """
 
 from __future__ import annotations
@@ -75,17 +81,12 @@ NEG = -1  # infeasible entry of a materialized table
 
 _POW5 = tuple(5 ** i for i in range(28))
 
-# transition programs are built with numpy digit arithmetic and cached by
-# structural signature across solves. Introduce programs are small and kept
-# without bound. Join programs hold every split of every state (about 66k
-# for a 5-vertex bag) and range from a few bytes to tens of MB, so their
-# cache is a FIFO bounded by the bytes of its arrays, not by a count:
-# 64 MiB holds about 220 five-vertex programs, more than the distinct wide
-# joins of a batch of small graphs. The newest program is kept even when
-# it alone exceeds the budget.
-_join_cache: dict = {}
-_join_cache_bytes = 0
-_JOIN_CACHE_BYTES = 64 << 20
+# introduce programs and the join's field tables are built with numpy digit
+# arithmetic and cached by structural signature across solves, without
+# bound: an introduce program is two arrays over the bag's states, a join
+# field table one small array per state or per chosen set. The join itself
+# keeps nothing across solves; its work grows with the finite child
+# entries it reads.
 
 
 def _digit_array(size: int) -> np.ndarray:
@@ -117,91 +118,56 @@ def _intro_entry(size: int, pos: int, nbr_mask: int):
     return np.where(feasible, child, 0), np.where(feasible, in_b, -np.inf)
 
 
-def _join_triples(chosen: bool, k: int) -> np.ndarray:
-    """(parent, left, right) digits at one join position, as the rows of a
-    3 x m array, for a vertex with ``k`` chosen bag neighbours.
-
-    The two side counts add up to the parent count plus the ones both sides
-    see: the vertex itself if chosen and its k chosen neighbours. Each side
-    keeps the vertex's floor (1 if chosen, else 0). Rows are in (parent
-    digit, left digit) order, the canonical split order."""
-    lo = 1 if chosen else 0
-    off = 2 if chosen else 0
-    rows = [
-        (c + off, f1 + off, c + lo + k - f1 + off)
-        for c in range(lo, 3)
-        for f1 in range(lo, 3)
-        if lo <= c + lo + k - f1 <= 2
-    ]
-    return np.array(rows, dtype=np.int64).reshape(-1, 3).T
+def _state_dtype(size: int):
+    """Signed dtype of the state indices of a bag of ``size`` vertices: 16
+    bits while every state fits (bags of up to 6 vertices), 32 above."""
+    return np.int16 if _POW5[size] <= 1 << 15 else np.int32
 
 
-def _build_join_program(size: int, adj_masks: tuple[int, ...]):
-    """Every (left state, right state) split of every join state, grouped by
-    parent state in canonical order: (idx1, idx2, starts, states, bcard).
+@cache
+def _join_fields(size: int):
+    """Per bag size, the fields of every state the join reads: ``(mask,
+    card, counts, rank)``.
 
-    For a fixed chosen set B each position has a fixed short list of digit
-    triples; their product over positions, with position 0 varying slowest,
-    lists B's splits in canonical order, and a stable sort by parent state
-    merges the 2**size blocks."""
-    triples = [[_join_triples(chosen, k) for k in range(size)] for chosen in (False, True)]
-    blocks = []
-    for b_mask in range(1 << size):
-        split = np.zeros((3, 1), dtype=np.int64)
-        for q in range(size):
-            digits = triples[(b_mask >> q) & 1][(adj_masks[q] & b_mask).bit_count()]
-            split = (split[:, :, None] + digits[:, None, :] * _POW5[q]).reshape(3, -1)
-        blocks.append(split)
-    tgt, idx1, idx2 = np.concatenate(blocks, axis=1)
-    # a stable sort on 16-bit keys is a radix sort
-    key = tgt.astype(np.uint16) if _POW5[size] <= 1 << 16 else tgt
-    order = np.argsort(key, kind="stable")
-    sorted_tgt = tgt[order]
-    starts = np.flatnonzero(np.r_[True, sorted_tgt[1:] != sorted_tgt[:-1]])
-    bcard = (_digit_array(size) >= 3).sum(axis=1).tolist()
-    return idx1[order], idx2[order], starts, sorted_tgt[starts], bcard
-
-
-def _join_program(size: int, adj_masks: tuple[int, ...]):
-    """The cached program of _build_join_program with compact arrays: state
-    indices as int16 while every state fits (bags of up to 6 vertices),
-    int32 above, and |B| per state as int8."""
-    global _join_cache_bytes
-    key = (size, adj_masks)
-    prog = _join_cache.get(key)
-    if prog is None:
-        idx1, idx2, starts, states, bcard = _build_join_program(size, adj_masks)
-        dtype = np.int16 if _POW5[size] <= 1 << 15 else np.int32
-        prog = (
-            idx1.astype(dtype),
-            idx2.astype(dtype),
-            starts,
-            states.astype(dtype),
-            np.asarray(bcard, dtype=np.int8),
-        )
-        nbytes = _program_bytes(prog)
-        while _join_cache and _join_cache_bytes + nbytes > _JOIN_CACHE_BYTES:
-            _join_cache_bytes -= _program_bytes(_join_cache.pop(next(iter(_join_cache))))
-        _join_cache[key] = prog
-        _join_cache_bytes += nbytes
-    return prog
+    ``mask`` is the chosen set B as a bit mask, ``card`` is |B|, column q of
+    ``counts`` is position q's count (0-2), and ``rank`` is the state's
+    place in canonical split order, its digits reversed so that position 0
+    is the most significant. Built one digit column at a time, in compact
+    dtypes."""
+    states = _POW5[size]
+    dtype = _state_dtype(size)
+    mask = np.zeros(states, dtype=np.min_scalar_type((1 << size) - 1))
+    card = np.zeros(states, dtype=np.int8)
+    counts = np.empty((states, size), dtype=np.int8)
+    rank = np.zeros(states, dtype=dtype)
+    for q in range(size):
+        digit = np.tile(np.repeat(np.arange(5, dtype=np.int8), _POW5[q]), _POW5[size - 1 - q])
+        chosen = digit >= 3
+        mask |= chosen.astype(mask.dtype) << q
+        card += chosen
+        counts[:, q] = digit - 2 * chosen
+        rank += digit.astype(dtype) * dtype(_POW5[size - 1 - q])
+    return mask, card, counts, rank
 
 
-def _program_bytes(prog) -> int:
-    return sum(a.nbytes for a in prog)
+@cache
+def _join_bounds(adj_masks: tuple[int, ...]):
+    """Per chosen set B of a join signature: ``(lower, upper, shift)``.
 
-
-def _join_pairs(size: int, adj_masks: tuple[int, ...], s: int):
-    """|B| and the canonical (left state, right state) splits of state ``s``,
-    read from the program the join rule evaluates."""
-    idx1, idx2, starts, states, bcard = _join_program(size, adj_masks)
-    card = int(bcard[s])
-    i = int(states.searchsorted(s))
-    if i == len(states) or states[i] != s:
-        return card, []
-    hi = starts[i + 1] if i + 1 < len(starts) else len(idx1)
-    lo = starts[i]
-    return card, list(zip(idx1[lo:hi].tolist(), idx2[lo:hi].tolist()))
+    A vertex at position q with floor lo (1 if chosen, else 0) and k chosen
+    bag neighbours has parent count f1 + f2 - lo - k from side counts f1
+    and f2: both sides see the vertex itself if chosen and its k chosen
+    neighbours. That count lies in [lo, 2] exactly when f1 + f2 lies in
+    [lower, upper] = [2 lo + k, 2 + lo + k]. The parent digit is then
+    d1 + d2 - 3 lo - k, so the parent state is s1 + s2 - shift[B]."""
+    size = len(adj_masks)
+    bits = 1 << np.arange(size)
+    chosen = (np.arange(1 << size)[:, None] & bits) > 0
+    adjacent = (np.asarray(adj_masks, dtype=np.int64)[:, None] & bits) > 0
+    k = chosen.astype(np.int8) @ adjacent.T.astype(np.int8)
+    lo = chosen.astype(np.int8)
+    shift = (3 * lo + k).astype(np.int64) @ np.asarray(_POW5[:size], dtype=np.int64)
+    return 2 * lo + k, 2 + lo + k, shift
 
 
 def _forget_rule(ct: np.ndarray, pos: int) -> np.ndarray:
@@ -218,42 +184,73 @@ def _introduce_rule(ct: np.ndarray, size: int, pos: int, nbr_mask: int) -> np.nd
     return ct[gather] + add
 
 
-def _join_rule(
-    lt: np.ndarray, rt: np.ndarray, size: int, adj_masks: tuple[int, ...]
-) -> np.ndarray:
+def _join_rule(lt: np.ndarray, rt: np.ndarray, size: int, adj_masks: tuple[int, ...]):
     """Join: per state, the best sum of child entries over all count splits,
-    minus the double-counted |B|."""
-    idx1, idx2, starts, states, bcard = _join_program(size, adj_masks)
-    new = np.empty(_POW5[size])
-    new.fill(-np.inf)
-    # state 0 always has the split (0, 0), so the program is never empty
-    new[states] = np.maximum.reduceat(lt[idx1] + rt[idx2], starts) - bcard[states]
-    return new
+    minus the double-counted |B|, and the split that attains it first in
+    canonical order: ``(table, picks)``, with the left and right child
+    states of each feasible state in the two rows of ``picks`` (-1 where
+    the state is infeasible).
+
+    Only finite child entries are read: a left and a right state with the
+    same chosen set form a split of one parent state exactly when every
+    position's parent count is in range (see _join_bounds)."""
+    mask, card, counts, rank = _join_fields(size)
+    lower, upper, shift = _join_bounds(adj_masks)
+    s1 = np.flatnonzero(lt != -np.inf)
+    s2 = np.flatnonzero(rt != -np.inf)
+    i1, i2 = np.nonzero(mask[s1][:, None] == mask[s2])
+    s1 = s1[i1]
+    s2 = s2[i2]
+    b = mask[s1]
+    total = counts[s1] + counts[s2]
+    keep = ((lower[b] <= total) & (total <= upper[b])).all(axis=1)
+    s1 = s1[keep]
+    s2 = s2[keep]
+    parent = s1 + s2 - shift[b[keep]]
+    value = lt[s1] + rt[s2]
+    # per parent state the best value first, ties in canonical order;
+    # state 0 always has the split (0, 0), so no table is empty
+    order = np.lexsort((rank[s1], -value, parent))
+    ordered = parent[order]
+    head = np.empty(len(order), dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    first = order[head]
+    states = parent[first]
+    new = np.full(_POW5[size], -np.inf)
+    new[states] = value[first] - card[states]
+    picks = np.full((2, _POW5[size]), -1, dtype=_state_dtype(size))
+    picks[0, states] = s1[first]
+    picks[1, states] = s2[first]
+    return new, picks
 
 
 def _transition(key: tuple, shapes: list, shape_ids: dict) -> tuple:
     """Evaluate one transition on its child shapes: ``(key, shape id,
-    shift)``, where the node's table is its shape plus the children's
-    offsets plus ``shift``."""
+    shift)`` for a forget or introduce, where the node's table is its shape
+    plus the children's offsets plus ``shift``, and ``(key, shape id,
+    picks)`` for a join, which never shifts and records the trace's split
+    of every feasible state (see _join_rule)."""
     kind = key[0]
-    shift = 0
+    # the forget's shift or the join's picks
+    extra = 0
     if kind == FORGET:
         _, pos, child = key
         out = _forget_rule(shapes[child], pos)
-        shift = int(out[0])
-        if shift:
-            out -= shift
+        extra = int(out[0])
+        if extra:
+            out -= extra
     elif kind == INTRODUCE:
         _, size, pos, mask, child = key
         out = _introduce_rule(shapes[child], size, pos, mask)
     else:
         _, adj_masks, left, right = key
-        out = _join_rule(shapes[left], shapes[right], len(adj_masks), adj_masks)
+        out, extra = _join_rule(shapes[left], shapes[right], len(adj_masks), adj_masks)
     # setdefault hashes the bytes once, found or not
     sid = shape_ids.setdefault(out.tobytes(), len(shapes))
     if sid == len(shapes):
         shapes.append(out)
-    return key, sid, shift
+    return key, sid, extra
 
 
 class DPTables:
@@ -337,17 +334,24 @@ def _chain_template(sig: bytes) -> tuple:
 
 @cache
 def _positions(width: int):
-    """Per bag width: the positions, their bits, the weights that turn a
-    (width x width) table of equal child and parent positions into the
-    child-in-parent and parent-in-child masks, and the dtype of one
-    signature row as a single bytes value."""
+    """Per bag width: the positions; the weights that turn a (width x width)
+    table of equal child and parent positions into the child-in-parent and
+    parent-in-child masks; the position pairs i < j as two index arrays,
+    with the matrix that turns a row of adjacent pairs into the positions'
+    adjacency masks; and the dtype of one signature row as a single bytes
+    value."""
     positions = np.arange(width, dtype=np.int64)
     bits = 1 << positions
     # a vertex sits at one position of each bag, so summing weights over the
     # equal pairs sets one bit per shared vertex
     weights = np.stack((np.repeat(bits, width), np.tile(bits, width)), axis=1)
+    first, second = np.triu_indices(width, 1)
+    pairs = np.arange(len(first))
+    pair_bits = np.zeros((len(first), width), dtype=np.int64)
+    pair_bits[pairs, first] = bits[second]
+    pair_bits[pairs, second] = bits[first]
     row = np.dtype((np.void, 8 * (4 + width)))
-    return positions, bits, weights, row
+    return positions, weights, first, second, pair_bits, row
 
 
 def _edge_keys(g: Graph) -> np.ndarray:
@@ -375,17 +379,17 @@ def _signatures(g: Graph, vertices: np.ndarray, sizes: np.ndarray, parent) -> tu
     """
     count, width = vertices.shape
     n = g.n
-    positions, bits, weights, row = _positions(width)
+    positions, weights, first, second, pair_bits, row = _positions(width)
     valid = positions < sizes[:, None]
     keys = _edge_keys(g)
-    # the keys of every ordered pair of bag positions; padding matches none
-    pair_keys = vertices[:, :, None] * (n + 1) + vertices[:, None, :]
+    # the keys of every pair of bag positions i < j; padding matches none
+    pair_keys = vertices[:, first] * (n + 1) + vertices[:, second]
     adjacent = keys[keys.searchsorted(pair_keys)] == pair_keys
     # rows[0] holds the edge signatures, rows[1] the leaf signatures
     rows = np.empty((2, count, 4 + width), dtype=np.int64)
     rows[1, :, :3] = 0
     rows[1, :, 3] = sizes
-    rows[1, :, 4:] = adjacent @ bits
+    rows[1, :, 4:] = adjacent @ pair_bits
     # parent -1 (the root, a pruned node) reads the last bag: an edge
     # signature the evaluator never looks up
     ups = np.asarray(parent, dtype=np.int64)
@@ -530,34 +534,29 @@ def _pick(record: tuple, shapes: list, s: int):
     """The trace's choice at a transition in state ``s``: for an introduce,
     the child state and whether the new vertex is chosen; for a forget, the
     child state with the lowest dropped digit that attains the entry; for a
-    join, the first (left, right) split in canonical order that attains it."""
-    key, sid, shift = record
+    join, the (left, right) split its rule recorded, the first in canonical
+    order that attains the entry."""
+    key, sid, extra = record
     kind = key[0]
+    if kind == JOIN:
+        left, right = extra[:, s].tolist()
+        if left < 0:
+            raise RuntimeError("inconsistent join table")
+        return left, right
     if kind == INTRODUCE:
         _, size, pos, mask, _ = key
         gather, add = _intro_entry(size, pos, mask)
         if add[s] == -np.inf:
             raise RuntimeError("inconsistent introduce table")
         return int(gather[s]), add[s] > 0
-    value = shapes[sid][s]
-    if kind == FORGET:
-        _, pos, child = key
-        low = _POW5[pos]
-        base = (s // low) * (5 * low) + s % low
-        entries = shapes[child][base : base + 5 * low : low].tolist()
-        try:
-            return base + entries.index(value + shift) * low
-        except ValueError:
-            raise RuntimeError("inconsistent forget table") from None
-    _, adj_masks, left, right = key
-    lt = shapes[left]
-    rt = shapes[right]
-    card, pairs = _join_pairs(len(adj_masks), adj_masks, s)
-    target = value + card
-    for s1, s2 in pairs:
-        if lt[s1] + rt[s2] == target:
-            return s1, s2
-    raise RuntimeError("inconsistent join table")
+    _, pos, child = key
+    low = _POW5[pos]
+    base = (s // low) * (5 * low) + s % low
+    entries = shapes[child][base : base + 5 * low : low].tolist()
+    try:
+        return base + entries.index(shapes[sid][s] + extra) * low
+    except ValueError:
+        raise RuntimeError("inconsistent forget table") from None
 
 
 def _replay(tables: DPTables, cid: int, state: int, picks: dict, replays: dict) -> tuple:

@@ -1,5 +1,5 @@
-"""The vectorized transition-program builders against the per-state
-enumeration they replaced, and witnesses pinned across the rewrite."""
+"""The vectorized transition programs and rules against the per-state
+enumeration they replaced, and witnesses pinned across the rewrites."""
 
 import functools
 import random
@@ -95,29 +95,6 @@ def oracle_join_splits(s, size, adj_masks):
     return b_mask.bit_count(), pairs
 
 
-def oracle_join_program(size, adj_masks):
-    idx1, idx2, target = [], [], []
-    bcard = [0] * 5**size
-    for s in range(5**size):
-        card, pairs = oracle_join_splits(s, size, adj_masks)
-        bcard[s] = card
-        for s1, s2 in pairs:
-            idx1.append(s1)
-            idx2.append(s2)
-            target.append(s)
-    tgt = np.asarray(target, dtype=np.int64)
-    order = np.argsort(tgt, kind="stable")
-    sorted_tgt = tgt[order]
-    starts = np.flatnonzero(np.r_[True, sorted_tgt[1:] != sorted_tgt[:-1]])
-    return (
-        np.asarray(idx1, dtype=np.int64)[order],
-        np.asarray(idx2, dtype=np.int64)[order],
-        starts,
-        sorted_tgt[starts],
-        bcard,
-    )
-
-
 @functools.cache
 def oracle_join_states(size, adj_masks):
     """oracle_join_splits of every state of one signature."""
@@ -136,6 +113,17 @@ def reference_join_rule(lt, rt, size, adj_masks):
         if best != GAP:
             new[s] = best - card
     return new
+
+
+def oracle_join_picks(lt, rt, size, adj_masks):
+    """Per state, the first of the oracle's splits that attains the
+    reference join entry, or None where the entry is infeasible."""
+    picks = []
+    table = reference_join_rule(lt, rt, size, adj_masks)
+    for s, (card, pairs) in enumerate(oracle_join_states(size, adj_masks)):
+        attaining = (p for p in pairs if lt[p[0]] + rt[p[1]] - card == table[s])
+        picks.append(None if table[s] == GAP else next(attaining))
+    return picks
 
 
 def reference_forget_rule(ct, size, pos):
@@ -181,31 +169,36 @@ def seeded_masks(size, count, seed):
         yield symmetric_masks(size, [e for e in slots if rng.random() < 0.5])
 
 
-# -- program equivalence ------------------------------------------------------
+# -- program and rule equivalence ----------------------------------------------
 
 
 @pytest.fixture
-def fresh_caches(monkeypatch):
+def fresh_caches():
     tw._intro_entry.cache_clear()
-    monkeypatch.setattr(tw, "_join_cache", {})
-    monkeypatch.setattr(tw, "_join_cache_bytes", 0)
+    tw._join_fields.cache_clear()
+    tw._join_bounds.cache_clear()
 
 
-def assert_join_matches(size, adj_masks):
-    expected = oracle_join_program(size, adj_masks)
-    built = tw._build_join_program(size, adj_masks)
-    for want, got in zip(expected[:4], built[:4]):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    assert built[4] == expected[4]
-    # the join rule and the trace read the cached program, which stores
-    # state indices in 16 bits
-    cached = tw._join_program(size, adj_masks)
-    assert [a.dtype for a in cached] == [np.int16, np.int16, np.intp, np.int16, np.int8]
-    for want, got in zip(built, cached):
-        assert np.array_equal(got, want)
-    for s in range(5**size):
-        assert tw._join_pairs(size, adj_masks, s) == oracle_join_splits(s, size, adj_masks)
+def assert_join_matches(size, adj_masks, lt, rt):
+    """The join rule's table and recorded picks against the reference rule
+    and the oracle's first attaining split of every state."""
+    table, picks = tw._join_rule(lt, rt, size, adj_masks)
+    assert table.dtype == np.float64
+    assert table.tolist() == reference_join_rule(lt, rt, size, adj_masks)
+    # picks hold state indices in 16 bits while every state fits
+    assert picks.dtype == np.int16
+    got = [None if left < 0 else (left, right) for left, right in picks.T.tolist()]
+    assert got == oracle_join_picks(lt, rt, size, adj_masks)
+
+
+def assert_join_signature(size, adj_masks, rng):
+    """assert_join_matches on shapes with every state feasible and tied
+    (each pick is then the oracle's first split of its state), and on
+    random gapped shapes."""
+    full = np.zeros(5**size)
+    assert_join_matches(size, adj_masks, full, full)
+    for _ in range(3):
+        assert_join_matches(size, adj_masks, random_shape(rng, size), random_shape(rng, size))
 
 
 def test_intro_program_every_signature(fresh_caches):
@@ -221,16 +214,20 @@ def test_intro_program_every_signature(fresh_caches):
     assert checked == 129
 
 
+# named for the join programs they first checked: the rule must cover
+# exactly the splits those programs listed, the oracle's
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_join_program_every_symmetric_adjacency(size, fresh_caches):
+    rng = random.Random(size)
     for adj_masks in all_symmetric_masks(size):
-        assert_join_matches(size, adj_masks)
+        assert_join_signature(size, adj_masks, rng)
 
 
 @pytest.mark.parametrize("size,count,seed", [(4, 6, 4004), (5, 3, 5005)])
 def test_join_program_seeded_adjacencies(size, count, seed, fresh_caches):
+    rng = random.Random(seed)
     for adj_masks in seeded_masks(size, count, seed):
-        assert_join_matches(size, adj_masks)
+        assert_join_signature(size, adj_masks, rng)
 
 
 def draw_shape(draw, size):
@@ -272,9 +269,7 @@ def introduce_inputs(draw):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(join_inputs())
 def test_join_rule_equals_reference(inputs):
-    size, adj_masks, lt, rt = inputs
-    got = tw._join_rule(lt, rt, size, adj_masks)
-    assert got.tolist() == reference_join_rule(lt, rt, size, adj_masks)
+    assert_join_matches(*inputs)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -306,14 +301,25 @@ SIX = Graph(
     6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (4, 5)]
 )
 
+# four width-4 graphs side by side: 7 distinct 5-vertex join signatures
+FOUR_WIDTH4 = disjoint_union([random_graph(13, 0.3, seed) for seed in (4, 5, 6, 8)])[0]
+
 # witnesses of the per-state program builders, recorded before the rewrite
 # (star3's solve evaluates its one-bag-per-vertex rooting, which is the
-# centre-bag decomposition, so it shares that witness)
+# centre-bag decomposition, so it shares that witness; four-width-4's was
+# recorded before join programs were cached by bytes, and kept through the
+# cache's eviction and removal)
 PINNED = [
     ("star3", star(3), None, [2, 3]),
     ("star3-centre-bag", star(3), centre_bag_star3(), [2, 3]),
     ("six", SIX, None, [3, 4, 5]),
     ("kc4-3", k_c4(3).graph, None, [0, 3, 5, 6, 9, 10]),
+    (
+        "four-width-4",
+        FOUR_WIDTH4,
+        None,
+        [0, 3, 8, 10, 12, 13, 14, 18, 19, 21, 27, 32, 34, 37, 38, 39, 40, 42, 47, 49, 51],
+    ),
     ("random-13", random_graph(13, 0.3, 4), None, [0, 3, 8, 10, 12]),
 ]
 
@@ -339,7 +345,8 @@ def test_witness_unchanged(name, g, td, witness, fresh_caches):
 
 def test_trace_takes_first_optimal_split(fresh_caches, monkeypatch):
     # every finite entry of every join traces to the same packing as with
-    # the oracle's split lists
+    # each join split found by scanning the oracle's split list for the
+    # first that attains the entry
     g = PINNED[-1][1]
     ntd = make_nice(decompose_heuristic(g), g)
     tables = nice_tables(g, ntd)
@@ -351,73 +358,20 @@ def test_trace_takes_first_optimal_split(fresh_caches, monkeypatch):
     ]
     assert {len(ntd.bags[t]) for t, _ in entries} >= {4, 5}
     actual = [tw.trace_entry(tables, t, s) for t, s in entries]
-    monkeypatch.setattr(
-        tw, "_join_pairs", lambda size, adj_masks, s: oracle_join_splits(s, size, adj_masks)
-    )
+    pick = tw._pick
+    scanned = []
+
+    def oracle_pick(record, shapes, s):
+        key, sid, _ = record
+        if key[0] != JOIN:
+            return pick(record, shapes, s)
+        _, adj_masks, left, right = key
+        card, pairs = oracle_join_splits(s, len(adj_masks), adj_masks)
+        target = shapes[sid][s] + card
+        scanned.append(key)
+        return next((s1, s2) for s1, s2 in pairs if shapes[left][s1] + shapes[right][s2] == target)
+
+    monkeypatch.setattr(tw, "_pick", oracle_pick)
     expected = [tw.trace_entry(tables, t, s) for t, s in entries]
+    assert len(scanned) >= len(entries)
     assert actual == expected
-
-
-# -- the join program cache ----------------------------------------------------
-
-# 40 distinct 5-vertex signatures: more wide joins than one batch of small
-# graphs brings, which the former 32-program cache could not hold
-FORTY = list(dict.fromkeys(seeded_masks(5, 60, 5405)))[:40]
-
-# four width-4 graphs side by side: 7 distinct 5-vertex join signatures, and
-# the witness the solver returned before the join cache was bounded by bytes
-EVICTION_GRAPH = disjoint_union([random_graph(13, 0.3, seed) for seed in (4, 5, 6, 8)])[0]
-EVICTION_WITNESS = [0, 3, 8, 10, 12, 13, 14, 18, 19, 21, 27, 32, 34, 37, 38, 39, 40, 42, 47, 49, 51]
-
-
-def count_builds(monkeypatch):
-    """Every (size, adj_masks) passed to _build_join_program from now on."""
-    calls = []
-    build = tw._build_join_program
-
-    def counting(size, adj_masks):
-        calls.append((size, adj_masks))
-        return build(size, adj_masks)
-
-    monkeypatch.setattr(tw, "_build_join_program", counting)
-    return calls
-
-
-@pytest.fixture
-def three_program_budget(fresh_caches, monkeypatch):
-    """An empty join cache bounded at the bytes of three 5-vertex programs."""
-    budget = 3 * tw._program_bytes(tw._join_program(5, FORTY[0]))
-    monkeypatch.setattr(tw, "_join_cache", {})
-    monkeypatch.setattr(tw, "_join_cache_bytes", 0)
-    monkeypatch.setattr(tw, "_JOIN_CACHE_BYTES", budget)
-    return budget
-
-
-def test_join_cache_builds_each_signature_once(fresh_caches, monkeypatch):
-    builds = count_builds(monkeypatch)
-    assert len(FORTY) == 40
-    rng = random.Random(5)
-    lt, rt = random_shape(rng, 5), random_shape(rng, 5)
-    first = [tw._join_rule(lt, rt, 5, m).tolist() for m in FORTY]
-    second = [tw._join_rule(lt, rt, 5, m).tolist() for m in FORTY]
-    assert first == second
-    assert builds == [(5, m) for m in FORTY]
-
-
-def test_join_cache_stays_within_budget(three_program_budget):
-    rng = random.Random(6)
-    lt, rt = random_shape(rng, 5), random_shape(rng, 5)
-    for m in FORTY[:12]:
-        tw._join_rule(lt, rt, 5, m)
-        held = [tw._program_bytes(p) for p in tw._join_cache.values()]
-        assert tw._join_cache_bytes == sum(held) <= three_program_budget
-        assert (5, m) in tw._join_cache
-    assert len(tw._join_cache) >= 2
-
-
-def test_trace_after_eviction_keeps_witness(three_program_budget, monkeypatch):
-    builds = count_builds(monkeypatch)
-    result = tw.solve(EVICTION_GRAPH)
-    # the trace rebuilt programs that the table evaluation had evicted
-    assert len(builds) > len(set(builds))
-    assert sorted(result.witness) == EVICTION_WITNESS

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,14 +241,36 @@ class TestJoinRule:
         for size, adj_masks in signatures:
             for _ in range(3):
                 lt, rt = random_shape(rng, size), random_shape(rng, size)
-                got = tw._join_rule(lt, rt, size, adj_masks)
+                got, _ = tw._join_rule(lt, rt, size, adj_masks)
                 assert got.dtype == np.float64
                 assert got.tolist() == reference_join_rule(lt, rt, size, adj_masks)
+
+
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
 
 
 class TestSolve:
     def test_path6(self):
         assert solve(path(6)).value == 4
+
+    def test_wide_bags_within_memory(self):
+        # the 5x40 grid's min-fill decomposition joins 6-vertex bags; a join
+        # that lists every split of every state peaks near 100 MB here
+        g = grid(5, 40)
+        assert decompose_heuristic(g).width == 5
+        tracemalloc.start()
+        try:
+            result = solve(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a MILP solver agrees on 86
+        assert result.value == len(result.witness) == 86
+        assert is_two_neighbour_packing(g, result.witness)
+        assert peak < 64 * 10**6
 
     def test_cycle9(self):
         g = cycle(9)
