@@ -7,19 +7,21 @@ TreeDecomposition), and a min-fill elimination heuristic for general graphs
 (an upper bound on the tree-width, not necessarily optimal). ``make_nice``
 rewrites any valid decomposition into the leaf/introduce/forget/join normal
 form; it is a standalone utility, since the dynamic program evaluates those
-transitions on the plain decomposition without building it.
+transitions on the plain decomposition without building it. Every rooting
+here comes from Graph's one breadth-first search, and each node's children
+from its parent array.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 from .errors import ParseError, PreconditionError
-from .graph import Graph
+from .graph import Graph, _children_of
 
 LEAF = 0
 INTRODUCE = 1
@@ -146,10 +148,7 @@ def root_forest(g: Graph):
     vertices = np.empty((n, 2), dtype=np.int64)
     np.minimum(vertex, other, out=vertices[:, 0])
     np.maximum(vertex, other, out=vertices[:, 1])
-    # a stable sort by parent lists each node's children in node order
-    kids = iter((np.argsort(parent[1:], kind="stable") + 1).tolist())
-    counts = np.bincount(parent[1:], minlength=n).tolist()
-    children = [tuple(islice(kids, c)) for c in counts]
+    children = list(_children_of(parent)[2])
     return 0, parent, children, range(n - 1, -1, -1), vertices, 2 - is_root
 
 
@@ -241,14 +240,12 @@ class NiceTreeDecomposition:
         self.children = tuple(map(tuple, children))
         self.root = root
         parent = [-1] * count
-        order: list[int] = []
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            order.append(t)
-            for c in self.children[t]:
+        order = [root]
+        for t in order:  # the list grows as it is read
+            kids = self.children[t]
+            for c in kids:
                 parent[c] = t
-                stack.append(c)
+            order += kids
         order.reverse()
         self.parent = tuple(parent)
         self.order = tuple(order)
@@ -359,11 +356,11 @@ def root_decomposition(td: TreeDecomposition):
 
     Empty-bag leaves are pruned until none is left (one node always stays),
     so that every remaining leaf has a vertex to start from. The root is
-    the lowest-numbered remaining node of maximum remaining degree, each
-    node's children keep ``tree.adj`` order, and ``order`` lists the
-    remaining nodes children-first: the reverse of a depth-first preorder
-    that visits children in that order. A pruned node has parent -1, no
-    children, and is not in ``order``.
+    the lowest-numbered remaining node of maximum remaining degree, the
+    tree is rooted there by one breadth-first search, each node's children
+    are in increasing order, and ``order`` lists the remaining nodes
+    children-first: the reverse of the search order. A pruned node has
+    parent -1, no children, and is not in ``order``.
     """
     adj = td.tree.adj
     count = td.tree.n
@@ -390,31 +387,15 @@ def root_decomposition(td: TreeDecomposition):
             if not alive[t]:
                 degree[t] = -1
     root = degree.index(max(degree))
-    parent = [-1] * count
-    children: list[tuple[int, ...]] = [()] * count
-    preorder: list[int] = []
-    visit = preorder.append
-    stack = [root]
-    pop = stack.pop
-    push = stack.extend
-    while stack:
-        t = pop()
-        visit(t)
-        kids = adj[t]
-        p = parent[t]
-        if p >= 0:
-            if len(kids) == 1:  # a leaf: its one neighbour is its parent
-                continue
-            i = kids.index(p)
-            kids = kids[:i] + kids[i + 1 :]
-        if alive is not None:
-            kids = tuple(s for s in kids if alive[s])
-        children[t] = kids
-        for s in kids:
-            parent[s] = t
-        push(reversed(kids))
-    preorder.reverse()
-    return root, parent, children, preorder
+    order, parent = td.tree._bfs((root,))
+    if alive is not None:
+        # the remaining nodes form a subtree around the root, so a pruned
+        # node only ever parents pruned nodes
+        parent = [p if a else -1 for p, a in zip(parent, alive)]
+        order = [t for t in order if alive[t]]
+    order.reverse()
+    children = list(_children_of(np.array(parent, dtype=np.int64))[2])
+    return root, parent, children, order
 
 
 def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:

@@ -190,6 +190,28 @@ def disjoint_union(graphs: Sequence[Graph]) -> tuple[Graph, list[int]]:
     return Graph(total, edges), offsets
 
 
+def _children_of(parent: np.ndarray):
+    """The children of a rooted forest given by an int64 parent array, with
+    -1 at every root and at every node left out: ``(kids, par, children)``.
+
+    ``kids`` and ``par`` are the parent-to-child arcs as int64 arrays,
+    grouped by parent in increasing order and in id order within a parent:
+    one sort of the distinct keys parent * n + id. ``children`` yields each
+    node's children as a tuple, built from the arcs as it is read. A
+    breadth-first search reaches a node's children in ``adj`` order, which
+    is increasing, so this is the order of the search's own parent array.
+    """
+    n = len(parent)
+    keys = parent * n + np.arange(n)
+    keys.sort()
+    par, kids = np.divmod(keys, n)
+    # node p's children are kids[bounds[p]:bounds[p + 1]]; the roots come first
+    bounds = par.searchsorted(np.arange(n + 1)).tolist()
+    flat = tuple(kids.tolist())
+    first = bounds[0]
+    return kids[first:], par[first:], map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:]))
+
+
 class RootedTree:
     """A tree graph with a designated root, a parent array and a post-order.
 
@@ -227,25 +249,19 @@ class RootedTree:
 
     @property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's children in adjacency order."""
+        """Each vertex's children in increasing order."""
         if self._children is None:
-            parent = self.parent
-            self._children = tuple(
-                tuple([u for u in nbrs if parent[u] == v])
-                for v, nbrs in enumerate(self.graph.adj)
-            )
+            parent = np.fromiter(self.parent, np.int64, self.graph.n)
+            self._children = tuple(_children_of(parent)[2])
         return self._children
 
     def child_arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every non-root vertex and its parent as read-only int64 arrays
         (child, parent), grouped by parent in increasing order and in child
-        order within a parent: the arcs of graph.arcs() that point from a
-        parent to its child. Built on first use and kept."""
+        order within a parent. Built on first use and kept."""
         if self._child_arcs is None:
-            src, dst = self.graph.arcs()
             parent = np.fromiter(self.parent, np.int64, self.graph.n)
-            down = parent[dst] == src
-            kids, par = dst[down], src[down]
+            kids, par, _ = _children_of(parent)
             kids.setflags(write=False)
             par.setflags(write=False)
             self._child_arcs = (kids, par)

@@ -79,11 +79,12 @@ def test_forest_solve_builds_no_decomposition(name, monkeypatch):
 
 
 def counting_bfs(monkeypatch) -> list:
+    """Record every graph Graph._bfs searches, in call order."""
     calls = []
     search = Graph._bfs
 
     def counted(self, starts):
-        calls.append(self.n)
+        calls.append(self)
         return search(self, starts)
 
     monkeypatch.setattr(Graph, "_bfs", counted)
@@ -95,7 +96,7 @@ def test_one_search_per_forest_solve(name, monkeypatch):
     g = {"tree": random_tree(500, seed=38200), "forest": isolated_forest(), "path": path(40)}[name]
     calls = counting_bfs(monkeypatch)
     tw.solve(g)
-    assert calls == [g.n]
+    assert len(calls) == 1 and calls[0] is g
 
 
 def test_non_forest_below_n_edges_goes_to_min_fill(monkeypatch):
@@ -103,18 +104,24 @@ def test_non_forest_below_n_edges_goes_to_min_fill(monkeypatch):
     assert g.m < g.n and not g.is_forest()
     want = tw.solve(g, td=decompose_heuristic(g))
     built = []
+    trees = []
 
     def heuristic(h):
         built.append(h)
-        return decompose_heuristic(h)
+        td = decompose_heuristic(h)
+        trees.append(td.tree)
+        return td
 
     monkeypatch.setattr(tw, "decompose_heuristic", heuristic)
     calls = counting_bfs(monkeypatch)
     got = tw.solve(g)
     assert built == [g]
     assert (got.value, got.witness, got.steps) == (want.value, want.witness, want.steps)
-    # only the forest test searches the graph
-    assert calls == [g.n]
+    # the forest test searches the graph, the rooting searches the bag tree,
+    # and nothing else is searched
+    assert len(calls) == 2
+    assert sum(h is g for h in calls) == 1
+    assert sum(h is trees[0] for h in calls) == 1
 
 
 def test_cycle_rejected_before_any_search(monkeypatch):
