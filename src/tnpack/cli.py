@@ -50,6 +50,8 @@ def _instance_info(path: str, g: Graph) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if args.td is not None and args.method != "dp":
+        raise PreconditionError(f"--td is read only by --method dp, not --method {args.method}")
     g = _load_graph(args.graph)
     started = time.perf_counter()
     report = {"instance": _instance_info(args.graph, g), "method": args.method}
@@ -135,50 +137,17 @@ def cmd_duality_report(args) -> int:
     return EXIT_OK if verified else EXIT_UNVERIFIED
 
 
-# families whose only parameter is --n
-_N_FAMILIES = {
-    "path": instances.path,
-    "cycle": instances.cycle,
-    "complete": instances.complete,
-    "empty": instances.empty,
-    "star": instances.star,
-    "gap": lambda n: instances.gap_family(n).graph,
-}
-
-
 def _build_family(args) -> tuple[Graph, dict, dict]:
-    family = args.family
-    if family in _N_FAMILIES:
-        if args.n is None:
-            raise PreconditionError(f"--n is required for family {family}")
-        params = {"n": args.n}
-        return _N_FAMILIES[family](args.n), params, instances.expected_values(family, params)
-    if family == "multipartite":
-        if not args.parts:
-            raise PreconditionError("--parts is required for family multipartite")
-        parts = [int(p) for p in args.parts.split(",")]
-        params = {"parts": parts}
-        return (
-            instances.complete_multipartite(parts),
-            params,
-            instances.expected_values(family, params),
-        )
-    if family == "kc4":
-        if args.k is None:
-            raise PreconditionError("--k is required for family kc4")
-        inst = instances.k_c4(args.k)
-        return inst.graph, {"k": args.k}, instances.expected_values(family, {"k": args.k})
-    if family == "random-tree":
-        if args.n is None:
-            raise PreconditionError("--n is required for family random-tree")
-        params = {"n": args.n, "seed": args.seed}
-        return instances.random_tree(args.n, args.seed), params, {}
-    if family == "random-graph":
-        if args.n is None or args.p is None:
-            raise PreconditionError("--n and --p are required for family random-graph")
-        params = {"n": args.n, "p": args.p, "seed": args.seed}
-        return instances.random_graph(args.n, args.p, args.seed), params, {}
-    raise PreconditionError(f"unknown family {family}")
+    flags, build, values = instances.FAMILIES[args.family]
+    required = [flag for flag in flags if flag != "seed"]  # --seed defaults to 0
+    if any(getattr(args, flag) in (None, "") for flag in required):
+        names = " and ".join(f"--{flag}" for flag in required)
+        verb = "is" if len(required) == 1 else "are"
+        raise PreconditionError(f"{names} {verb} required for family {args.family}")
+    params = {flag: getattr(args, flag) for flag in flags}
+    if "parts" in params:
+        params["parts"] = [int(p) for p in params["parts"].split(",")]
+    return build(**params), params, values(**params)
 
 
 def _sidecar_path(out: str) -> Path:
@@ -262,22 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.set_defaults(func=cmd_duality_report)
 
     p_gen = sub.add_parser("generate", help="write a named-family instance plus sidecar")
-    p_gen.add_argument(
-        "--family",
-        required=True,
-        choices=(
-            "path",
-            "cycle",
-            "complete",
-            "empty",
-            "star",
-            "multipartite",
-            "gap",
-            "kc4",
-            "random-tree",
-            "random-graph",
-        ),
-    )
+    p_gen.add_argument("--family", required=True, choices=tuple(instances.FAMILIES))
     p_gen.add_argument("--n", type=int)
     p_gen.add_argument("--k", type=int)
     p_gen.add_argument("--parts", help="comma-separated part sizes, e.g. 2,3")

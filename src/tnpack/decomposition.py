@@ -94,16 +94,13 @@ def validate(g: Graph, td: TreeDecomposition) -> list[TdViolation]:
         small, other = (u, v) if len(nodes_of[u]) <= len(nodes_of[v]) else (v, u)
         if not any(other in td.bags[t] for t in nodes_of[small]):
             violations.append(TdViolation(2, (u, v)))
-    # the bags holding v are connected iff exactly one of them has no parent
-    # bag holding v: count those tops in one pass over the rooted tree
-    parent = td.tree._bfs((0,))[1]
-    tops = [0] * g.n
-    for t, bag in enumerate(td.bags):
-        above = td.bags[parent[t]] if parent[t] >= 0 else ()
-        for v in bag:
-            if v not in above:
-                tops[v] += 1
-    violations += [TdViolation(3, (v,)) for v in range(g.n) if tops[v] > 1]
+    # the bags holding v form a forest in the bag tree, which is one piece
+    # iff it has one more bag than tree edges whose two bags both hold v
+    pieces = list(map(len, nodes_of))
+    for s, t in td.tree.edges():
+        for v in td.bags[s] & td.bags[t]:
+            pieces[v] -= 1
+    violations += [TdViolation(3, (v,)) for v in range(g.n) if pieces[v] > 1]
     return violations
 
 

@@ -1,6 +1,11 @@
 """Generators for the analyzed graph families, seeded random instances, and
 the independent-set reduction gadget.
 
+``FAMILIES`` is the one table of the families ``tnpack generate`` writes:
+each name maps to its parameters (the command's flags), its builder, and a
+function of the same parameters giving the sidecar's known values, which
+``expected_values`` looks up without building a graph.
+
 Seeded generators draw from splitmix64 so any implementation, in any
 language, reproduces identical instances from the same seed: 64-bit state
 advances by 0x9E3779B97F4A7C15 and is finalized with two xor-multiply rounds;
@@ -15,7 +20,7 @@ from itertools import combinations
 from math import ceil
 
 from .graph import Graph, VertexSet, disjoint_union
-from .oracles import SolveResult, is_two_neighbour_packing
+from .oracles import SolveResult, closed_form, is_two_neighbour_packing
 
 _MASK64 = (1 << 64) - 1
 
@@ -104,35 +109,37 @@ def star(n: int) -> Graph:
     return complete_multipartite([1, n])
 
 
+def _gap_values(n: int) -> dict:
+    if n < 3:
+        raise ValueError("gap family needs n >= 3")
+    return {"tnp": 2, "roman_lower": ceil(2 * n / 3)}
+
+
+def _kc4_values(k: int) -> dict:
+    if k < 1:
+        raise ValueError("need k >= 1 copies")
+    return {"tnp": 2 * k, "roman": 3 * k}
+
+
 def gap_family(n: int) -> LabeledInstance:
     """Connected family whose packing number stays 2 while the Roman number
     grows like 2n/3: an independent part of n vertices plus a clique with one
     vertex per 3-subset, each adjacent to exactly its triple.
     """
-    if n < 3:
-        raise ValueError("gap family needs n >= 3")
+    labels = _gap_values(n)
     triples = list(combinations(range(n), 3))
     m = len(triples)
     edges = list((n + a, n + b) for a, b in combinations(range(m), 2))
     for j, triple in enumerate(triples):
         edges.extend((v, n + j) for v in triple)
-    return LabeledInstance(
-        Graph(n + m, edges),
-        family="gap",
-        params={"n": n},
-        tnp=2,
-        roman_lower=ceil(2 * n / 3),
-    )
+    return LabeledInstance(Graph(n + m, edges), family="gap", params={"n": n}, **labels)
 
 
 def k_c4(k: int) -> LabeledInstance:
     """Disjoint union of k four-cycles; the duality gap is exactly k."""
-    if k < 1:
-        raise ValueError("need k >= 1 copies")
+    labels = _kc4_values(k)
     union, _ = disjoint_union([cycle(4)] * k)
-    return LabeledInstance(
-        union, family="kc4", params={"k": k}, tnp=2 * k, roman=3 * k
-    )
+    return LabeledInstance(union, family="kc4", params={"k": k}, **labels)
 
 
 def no_packing_of_size_three(g: Graph) -> bool:
@@ -280,32 +287,31 @@ def independent_set_brute(g: Graph) -> SolveResult:
     return SolveResult(best_size, frozenset(best), steps)
 
 
+def _closed(family: str, param) -> dict:
+    tnp, roman = closed_form(family, param)
+    return {"tnp": tnp, "roman": roman}
+
+
+# name -> (parameters, which are generate's flags; builder; known values),
+# in generate's --family order; builder and values take the parameters by name
+FAMILIES = {
+    "path": (("n",), path, lambda n: _closed("path", n)),
+    "cycle": (("n",), cycle, lambda n: _closed("cycle", n)),
+    "complete": (("n",), complete, lambda n: dict.fromkeys(("tnp", "roman"), 1 if n == 1 else 2)),
+    "empty": (("n",), empty, lambda n: {"tnp": n, "roman": n}),
+    "star": (("n",), star, lambda n: _closed("multipartite", [1, n])),
+    "multipartite": (("parts",), complete_multipartite, lambda parts: _closed("multipartite", parts)),
+    "gap": (("n",), lambda n: gap_family(n).graph, _gap_values),
+    "kc4": (("k",), lambda k: k_c4(k).graph, _kc4_values),
+    "random-tree": (("n", "seed"), random_tree, lambda n, seed: {}),
+    "random-graph": (("n", "p", "seed"), random_graph, lambda n, p, seed: {}),
+}
+
+
 def expected_values(family: str, params: dict) -> dict:
     """Known optimal values (or bounds) for a generated family, as stored in
-    sidecar files next to generated instances."""
-    from .oracles import closed_form
-
-    if family == "path":
-        tnp, roman = closed_form("path", params["n"])
-        return {"tnp": tnp, "roman": roman}
-    if family == "cycle":
-        tnp, roman = closed_form("cycle", params["n"])
-        return {"tnp": tnp, "roman": roman}
-    if family in ("multipartite", "star"):
-        parts = params["parts"] if family == "multipartite" else [1, params["n"]]
-        tnp, roman = closed_form("multipartite", parts)
-        return {"tnp": tnp, "roman": roman}
-    if family == "complete":
-        n = params["n"]
-        if n == 1:
-            return {"tnp": 1, "roman": 1}
-        return {"tnp": 2, "roman": 2}
-    if family == "empty":
-        return {"tnp": params["n"], "roman": params["n"]}
-    if family == "gap":
-        inst = gap_family(params["n"])
-        return {"tnp": inst.tnp, "roman_lower": inst.roman_lower}
-    if family == "kc4":
-        inst = k_c4(params["k"])
-        return {"tnp": inst.tnp, "roman": inst.roman}
-    return {}
+    sidecar files next to generated instances: the family's FAMILIES entry
+    computes them from the parameters alone, building no graph. A family
+    that is not in the table has none."""
+    entry = FAMILIES.get(family)
+    return entry[2](**params) if entry else {}

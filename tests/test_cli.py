@@ -121,6 +121,26 @@ class TestSolve:
         assert out == ""
         assert err == "error: search deeper than the recursion limit\n"
 
+    @pytest.mark.parametrize("method", ["brute", "tree"])
+    @pytest.mark.parametrize("td_name", ["p6.td", "missing.td"])
+    def test_td_without_dp_exits_3_before_solving(
+        self, capsys, p6, tmp_path, monkeypatch, method, td_name
+    ):
+        # a readable file and a missing one are refused alike, unread
+        td_text = decomposition.write_td(decomposition.decompose_tree(path(6)))
+        (tmp_path / "p6.td").write_text(td_text)
+
+        def refuse(*args):
+            raise AssertionError("solving started")
+
+        monkeypatch.setattr(cli, "tnp_brute", refuse)
+        monkeypatch.setattr(cli, "certify_tree", refuse)
+        code, out, err = run_cli(
+            capsys, "solve", p6, "--method", method, "--td", str(tmp_path / td_name)
+        )
+        assert code == cli.EXIT_PRECONDITION == 3 and out == ""
+        assert err == f"error: --td is read only by --method dp, not --method {method}\n"
+
     def test_witness_out(self, capsys, p6, tmp_path):
         target = tmp_path / "w.json"
         code, out, _ = run_cli(capsys, "solve", p6, "--witness-out", str(target))
@@ -383,6 +403,20 @@ class TestGenerate:
         assert sidecar == {"family": family, "params": params, "expected": expected}
         data = json.loads(out)
         assert (data["n"], data["m"], data["expected"]) == (g.n, g.m, expected)
+
+    def test_gap_builds_its_instance_once(self, capsys, tmp_path, monkeypatch):
+        built = []
+        gap_family = instances.gap_family
+
+        def counted(n):
+            built.append(n)
+            return gap_family(n)
+
+        monkeypatch.setattr(instances, "gap_family", counted)
+        code, _, _ = run_cli(
+            capsys, "generate", "--family", "gap", "--n", "5", "-o", str(tmp_path / "g.gr")
+        )
+        assert code == 0 and built == [5]
 
     def test_gap_sidecar(self, capsys, tmp_path):
         out_file = tmp_path / "gap4.gr"

@@ -11,9 +11,11 @@ from tnpack.decomposition import (
     TreeDecomposition,
     decompose_heuristic,
     decompose_tree,
+    read_td,
     root_decomposition,
     root_forest,
     validate,
+    write_td,
 )
 from tnpack.graph import Graph, disjoint_union
 from tnpack.instances import cycle, path, random_tree, star
@@ -122,6 +124,19 @@ def test_non_forest_below_n_edges_goes_to_min_fill(monkeypatch):
     assert len(calls) == 2
     assert sum(h is g for h in calls) == 1
     assert sum(h is trees[0] for h in calls) == 1
+
+
+def test_user_decomposition_searches_the_bag_tree_twice(monkeypatch):
+    # the constructor's connectivity check and the rooting; validate counts
+    # the bags and tree edges holding each vertex instead of searching
+    g = random_tree(300, seed=38300)
+    text = write_td(decompose_tree(g))
+    calls = counting_bfs(monkeypatch)
+    td = read_td(text)
+    got = tw.solve(g, td=td)
+    assert len(calls) == 2 and all(h is td.tree for h in calls)
+    want = tw.solve(g)
+    assert (got.value, got.witness) == (want.value, want.witness)
 
 
 def test_cycle_rejected_before_any_search(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from tnpack.graph import Graph
 from tnpack.instances import (
+    FAMILIES,
     SplitMix64,
     complete,
     complete_multipartite,
@@ -224,3 +225,54 @@ class TestExpectedValues:
     def test_gap_and_kc4(self):
         assert expected_values("gap", {"n": 4}) == {"tnp": 2, "roman_lower": 3}
         assert expected_values("kc4", {"k": 10}) == {"tnp": 20, "roman": 30}
+
+
+# family -> parameter sets small enough for both brute-force oracles
+ORACLE_CASES = {
+    "path": [{"n": 1}, {"n": 7}, {"n": 12}],
+    "cycle": [{"n": 3}, {"n": 8}, {"n": 13}],
+    "complete": [{"n": 1}, {"n": 2}, {"n": 5}],
+    "empty": [{"n": 1}, {"n": 4}],
+    "star": [{"n": 1}, {"n": 5}],
+    "multipartite": [{"parts": [2, 3]}, {"parts": [1, 4]}, {"parts": [2, 2, 3]}],
+    "kc4": [{"k": 1}, {"k": 2}, {"k": 3}],
+    "gap": [{"n": 3}, {"n": 4}],
+}
+
+
+class TestFamilyTable:
+    def test_oracle_cases_cover_every_labelled_family(self):
+        labelled = [f for f in FAMILIES if not f.startswith("random-")]
+        assert sorted(ORACLE_CASES) == sorted(labelled)
+
+    @pytest.mark.parametrize(
+        "family,params", [(f, p) for f, cases in ORACLE_CASES.items() for p in cases]
+    )
+    def test_values_match_the_oracles(self, family, params):
+        g = FAMILIES[family][1](**params)
+        values = expected_values(family, params)
+        # explicit caps keep the check independent of the environment
+        tnp = tnp_brute(g, cap=g.n).value
+        roman = roman_brute(g, cap=g.n).value
+        if family == "gap":
+            assert set(values) == {"tnp", "roman_lower"}
+            assert tnp == values["tnp"] == 2 and roman >= values["roman_lower"]
+        else:
+            assert values == {"tnp": tnp, "roman": roman}
+
+    def test_values_build_no_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph built")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        assert expected_values("gap", {"n": 200}) == {"tnp": 2, "roman_lower": 134}
+        for family, cases in ORACLE_CASES.items():
+            for params in cases:
+                expected_values(family, params)
+
+    def test_labels_and_checks_are_the_table_values(self):
+        assert gap_family(5).roman_lower == expected_values("gap", {"n": 5})["roman_lower"] == 4
+        with pytest.raises(ValueError, match="gap family needs n >= 3"):
+            expected_values("gap", {"n": 2})
+        with pytest.raises(ValueError, match="need k >= 1 copies"):
+            expected_values("kc4", {"k": 0})
