@@ -146,7 +146,12 @@ def _build_family(args) -> tuple[Graph, dict, dict]:
         raise PreconditionError(f"{names} {verb} required for family {args.family}")
     params = {flag: getattr(args, flag) for flag in flags}
     if "parts" in params:
-        params["parts"] = [int(p) for p in params["parts"].split(",")]
+        try:
+            params["parts"] = [int(p) for p in params["parts"].split(",")]
+        except ValueError:
+            raise PreconditionError(
+                f"--parts takes comma-separated integers, not {params['parts']!r}"
+            ) from None
     return build(**params), params, values(**params)
 
 

@@ -304,7 +304,9 @@ def read_graph(text: str) -> Graph:
     other lines (the header, comments, blank lines, and anything else that
     int() or str.split() read differently) are examined one at a time. One
     sort of the 2m arc keys orders the adjacency and shows whether any edge
-    repeats; the sorted arcs seed arcs().
+    repeats; the sorted arcs seed arcs(). Once every check has passed, the
+    text, its lines and the parse's arrays are released before the
+    adjacency tuples are built, so they do not add to the peak.
     """
     lines = text.splitlines()
     regular, index, ids = _regular_edges(lines)
@@ -401,8 +403,12 @@ def read_graph(text: str) -> Graph:
         raise ParseError(f"header declares {m_declared} edges but {m} found")
     if n > _MAX_N:
         raise MemoryError(f"{n} vertices cannot be indexed")
+    # every check has passed: the line buffers go before the adjacency is
+    # built, which holds one int object per arc
+    del text, lines, regular, index, ids, clipped, extra, seen
     keys -= base + 1
     src, dst = np.divmod(keys, base)  # 0-based, in adj order
+    del keys
     ends = np.bincount(src, minlength=n).cumsum().tolist()
     flat = tuple(dst.tolist())
     # n tuples of ints form no cycles; the cyclic collector is paused while

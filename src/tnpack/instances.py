@@ -109,6 +109,18 @@ def star(n: int) -> Graph:
     return complete_multipartite([1, n])
 
 
+def _complete_values(n: int) -> dict:
+    if n < 1:
+        raise ValueError("complete graph needs n >= 1")
+    return dict.fromkeys(("tnp", "roman"), 1 if n == 1 else 2)
+
+
+def _empty_values(n: int) -> dict:
+    if n < 1:
+        raise ValueError("empty graph needs n >= 1")
+    return {"tnp": n, "roman": n}
+
+
 def _gap_values(n: int) -> dict:
     if n < 3:
         raise ValueError("gap family needs n >= 3")
@@ -297,8 +309,8 @@ def _closed(family: str, param) -> dict:
 FAMILIES = {
     "path": (("n",), path, lambda n: _closed("path", n)),
     "cycle": (("n",), cycle, lambda n: _closed("cycle", n)),
-    "complete": (("n",), complete, lambda n: dict.fromkeys(("tnp", "roman"), 1 if n == 1 else 2)),
-    "empty": (("n",), empty, lambda n: {"tnp": n, "roman": n}),
+    "complete": (("n",), complete, _complete_values),
+    "empty": (("n",), empty, _empty_values),
     "star": (("n",), star, lambda n: _closed("multipartite", [1, n])),
     "multipartite": (("parts",), complete_multipartite, lambda parts: _closed("multipartite", parts)),
     "gap": (("n",), lambda n: gap_family(n).graph, _gap_values),

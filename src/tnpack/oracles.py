@@ -297,8 +297,9 @@ def closed_form(family: str, param) -> tuple[int, int]:
     """Known optimal (packing number, Roman domination number) pairs.
 
     Families: "path" and "cycle" take the vertex count, "multipartite" takes
-    the part sizes (at least two parts; with a single part the graph is
-    edgeless and the packing value would be the part size instead).
+    the part sizes (at least one part). A single part of size p is the
+    edgeless graph on p vertices, whose values are both p: every vertex is
+    chosen, and every vertex needs weight 1.
     """
     if family == "path":
         n = int(param)
@@ -312,11 +313,13 @@ def closed_form(family: str, param) -> tuple[int, int]:
         return (2 * n) // 3, (2 * n + 2) // 3
     if family == "multipartite":
         parts = sorted(int(p) for p in param)
-        if len(parts) < 2:
-            raise ValueError("multipartite needs at least two parts")
+        if not parts:
+            raise ValueError("multipartite needs at least one part")
         if parts[0] < 1:
             raise ValueError("part sizes must be positive")
         smallest = parts[0]
+        if len(parts) == 1:
+            return smallest, smallest
         roman = 2 if smallest == 1 else 3 if smallest == 2 else 4
         return 2, roman
     raise ValueError(f"unknown family {family!r}")

@@ -15,12 +15,14 @@ and introduce transitions make_nice would put there, a childless bag
 introduces its vertices into the empty table, a bag's sides are joined in
 child order, and the root is drained to its lowest vertex. A chain is keyed
 by its edge signature (sizes, which vertices the bags share, the parent's
-adjacency), computed for every edge in one numpy pass, and by its child
-shape. A forest needs no decomposition step: solve evaluates root_forest's
-rooting of it, one bag per vertex in breadth-first search order holding the
-vertex and its search parent, so a 100k-vertex random tree has 100,000 bags
-but only a few hundred distinct chains. Any other decomposition is rooted
-by root_decomposition and its bags sorted into the same padded array.
+adjacency) and by its child shape. The signatures of every edge come from
+one numpy pass as rows of fields in the smallest unsigned dtype that holds
+2**width (uint8 up to 7-vertex bags), each kept as its row's bytes. A
+forest needs no decomposition step: solve evaluates root_forest's rooting
+of it, one bag per vertex in breadth-first search order holding the vertex
+and its search parent, so a 100k-vertex random tree has 100,000 bags but
+only a few hundred distinct chains. Any other decomposition is rooted by
+root_decomposition and its bags sorted into the same padded array.
 
 Taken up to an additive constant, the tables of a decomposition fall into
 few distinct shapes, so the evaluator stores a shape id and an offset per
@@ -260,8 +262,9 @@ class DPTables:
     chain that carries its table to its parent's bag (the root's chain
     drains the root bag to its lowest vertex, and is empty when that bag
     has at most one vertex), the chain that introduces a childless node's
-    vertices into the empty table (shape 0), and the join cascade of a node
-    with several children.
+    vertices into the empty table (shape 0), and the join that merges its
+    side into its parent's earlier sides (-1 for a first child and for the
+    root): a node with several children joins them in child order.
     ``tables[t]`` materializes node t's table.
     """
 
@@ -296,18 +299,19 @@ class DPTables:
 # programs. A solve brings few distinct signatures, but a process that
 # solves many graphs meets many, so the cache is an LRU of bounded length.
 @lru_cache(maxsize=1 << 14)
-def _chain_template(sig: bytes) -> tuple:
+def _chain_template(sig: bytes, itemsize: int) -> tuple:
     """The forget/introduce steps that turn a child bag into its parent's:
     ``(prefixes, positions, parent adjacency masks)``.
 
-    ``sig`` holds the int64 fields (child size, child-in-parent mask,
-    parent-in-child mask, parent size, parent adjacency masks padded with
-    zeros). The child's vertices that leave are forgotten first, lowest
-    first, then the parent's new vertices are introduced, lowest first.
-    Each prefix is a transition key without its child shape id;
-    ``positions`` holds the parent position of each introduced vertex and
-    -1 for a forget."""
-    size, kept, present, parent_size, *adj_masks = np.frombuffer(sig, np.int64).tolist()
+    ``sig`` holds unsigned fields of ``itemsize`` bytes each (child size,
+    child-in-parent mask, parent-in-child mask, parent size, parent
+    adjacency masks padded with zeros); the same fields at another item
+    size are another key with the same steps. The child's vertices that
+    leave are forgotten first, lowest first, then the parent's new vertices
+    are introduced, lowest first. Each prefix is a transition key without
+    its child shape id; ``positions`` holds the parent position of each
+    introduced vertex and -1 for a forget."""
+    size, kept, present, parent_size, *adj_masks = np.frombuffer(sig, f"u{itemsize}").tolist()
     adj_masks = tuple(adj_masks[:parent_size])
     prefixes = []
     positions = []
@@ -338,8 +342,9 @@ def _positions(width: int):
     table of equal child and parent positions into the child-in-parent and
     parent-in-child masks; the position pairs i < j as two index arrays,
     with the matrix that turns a row of adjacent pairs into the positions'
-    adjacency masks; and the dtype of one signature row as a single bytes
-    value."""
+    adjacency masks; the dtype of a signature field, the smallest unsigned
+    one that holds 2**width (uint8 up to 7-vertex bags); and the dtype of
+    one signature row as a single bytes value."""
     positions = np.arange(width, dtype=np.int64)
     bits = 1 << positions
     # a vertex sits at one position of each bag, so summing weights over the
@@ -350,8 +355,9 @@ def _positions(width: int):
     pair_bits = np.zeros((len(first), width), dtype=np.int64)
     pair_bits[pairs, first] = bits[second]
     pair_bits[pairs, second] = bits[first]
-    row = np.dtype((np.void, 8 * (4 + width)))
-    return positions, weights, first, second, pair_bits, row
+    field = np.min_scalar_type(1 << width)
+    row = np.dtype((np.void, field.itemsize * (4 + width)))
+    return positions, weights, first, second, pair_bits, field, row
 
 
 def _edge_keys(g: Graph) -> np.ndarray:
@@ -374,19 +380,21 @@ def _signatures(g: Graph, vertices: np.ndarray, sizes: np.ndarray, parent) -> tu
     vertices into the empty table, as an edge from an empty bag. The bags
     come as one (nodes x width) array, each row sorted and padded with n,
     and bag adjacency comes from one searchsorted over the graph's edge
-    keys. A signature is one row of int64 fields (see _chain_template),
-    keyed by its bytes. Returns each node's edge and leaf signature.
+    keys. A signature is one row of unsigned fields of the smallest item
+    size that holds the bag masks (see _chain_template), keyed by its
+    bytes, so that 100,000 nodes of a tree hold 100,000 short keys. Returns
+    each node's edge and leaf signature and the item size.
     """
     count, width = vertices.shape
     n = g.n
-    positions, weights, first, second, pair_bits, row = _positions(width)
+    positions, weights, first, second, pair_bits, field, row = _positions(width)
     valid = positions < sizes[:, None]
     keys = _edge_keys(g)
     # the keys of every pair of bag positions i < j; padding matches none
     pair_keys = vertices[:, first] * (n + 1) + vertices[:, second]
     adjacent = keys[keys.searchsorted(pair_keys)] == pair_keys
     # rows[0] holds the edge signatures, rows[1] the leaf signatures
-    rows = np.empty((2, count, 4 + width), dtype=np.int64)
+    rows = np.empty((2, count, 4 + width), dtype=field)
     rows[1, :, :3] = 0
     rows[1, :, 3] = sizes
     rows[1, :, 4:] = adjacent @ pair_bits
@@ -398,8 +406,10 @@ def _signatures(g: Graph, vertices: np.ndarray, sizes: np.ndarray, parent) -> tu
     rows[0, :, 0] = sizes
     rows[0, :, 1:3] = same.reshape(count, -1) @ weights
     rows[0, :, 3:] = rows[1, ups, 3:]
+    # free the working arrays first: the per-node keys are this pass's peak
+    del valid, keys, pair_keys, adjacent, ups, same
     sig_keys = rows.view(row).ravel().tolist()
-    return sig_keys[:count], sig_keys[count:]
+    return sig_keys[:count], sig_keys[count:], field.itemsize
 
 
 def _run_chain(template, sid, transitions, transition_ids, shapes, shape_ids) -> tuple:
@@ -448,13 +458,13 @@ def _evaluate(g: Graph, root: int, parent, children, order, vertices, sizes) -> 
     the sides of a bag with several children are joined in child order, and
     the root is drained to its lowest vertex.
     """
-    up_sig, leaf_sig = _signatures(g, vertices, sizes, parent)
+    up_sig, leaf_sig, itemsize = _signatures(g, vertices, sizes, parent)
     count = len(parent)
     node_shape = [0] * count
     offsets = [0] * count
     up_chain = [-1] * count
     leaf_chain = [-1] * count
-    joins: dict[int, list[int]] = {}
+    joins = [-1] * count
     empty = np.zeros(1)
     shapes = [empty]
     shape_ids = {empty.tobytes(): 0}
@@ -470,22 +480,21 @@ def _evaluate(g: Graph, root: int, parent, children, order, vertices, sizes) -> 
             cid = chain_ids.get(key)
             if cid is None:
                 cid = chain_ids[key] = len(chains)
-                chains.append(
-                    _run_chain(_chain_template(key[0]), 0, transitions, transition_ids, shapes, shape_ids)
-                )
+                template = _chain_template(key[0], itemsize)
+                chains.append(_run_chain(template, 0, transitions, transition_ids, shapes, shape_ids))
             leaf_chain[t] = cid
             _, tids, node_shape[t], offsets[t] = chains[cid]
             steps += len(tids)
             continue
-        cascade = None
         sid = -1
         for c in kids:
             key = (up_sig[c], node_shape[c])
             cid = chain_ids.get(key)
             if cid is None:
                 cid = chain_ids[key] = len(chains)
+                template = _chain_template(key[0], itemsize)
                 chains.append(
-                    _run_chain(_chain_template(key[0]), key[1], transitions, transition_ids, shapes, shape_ids)
+                    _run_chain(template, key[1], transitions, transition_ids, shapes, shape_ids)
                 )
             up_chain[c] = cid
             template, tids, side, shift = chains[cid]
@@ -499,9 +508,7 @@ def _evaluate(g: Graph, root: int, parent, children, order, vertices, sizes) -> 
             tid = transition_ids.setdefault(jkey, len(transitions))
             if tid == len(transitions):
                 transitions.append(_transition(jkey, shapes, shape_ids))
-            if cascade is None:
-                cascade = joins[t] = []
-            cascade.append(tid)
+            joins[c] = tid
             sid = transitions[tid][1]
             offset += offsets[c] + shift
             steps += 1
@@ -510,7 +517,8 @@ def _evaluate(g: Graph, root: int, parent, children, order, vertices, sizes) -> 
     # forget all but the lowest vertex: no step for a root of at most one
     size = int(sizes[root])
     one = min(size, 1)
-    drain = _chain_template(np.array([size, one, one, one, 0], dtype=np.int64).tobytes())
+    sig = np.array([size, one, one, one, 0], f"u{itemsize}").tobytes()
+    drain = _chain_template(sig, itemsize)
     up_chain[root] = len(chains)
     chains.append(_run_chain(drain, node_shape[root], transitions, transition_ids, shapes, shape_ids))
     steps += len(drain[0])
@@ -620,14 +628,13 @@ def trace_entry(tables: DPTables, node: int, state: int) -> frozenset:
                     chosen += [t * width + j for j in positions]
                 break
             if len(kids) > 1:
-                cascade = joins[t]
-                for i in range(len(cascade) - 1, -1, -1):
-                    tid = cascade[i]
+                for i in range(len(kids) - 1, 0, -1):
+                    c = kids[i]
+                    tid = joins[c]
                     pick = picks.get((tid, s))
                     if pick is None:
                         pick = picks[tid, s] = _pick(transitions[tid], shapes, s)
                     s, right = pick
-                    c = kids[i + 1]
                     cid = up_chain[c]
                     right, positions = replays.get((cid, right)) or _replay(
                         tables, cid, right, picks, replays
@@ -641,7 +648,10 @@ def trace_entry(tables: DPTables, node: int, state: int) -> frozenset:
             if positions:
                 chosen += [t * width + j for j in positions]
             t = c
-    return frozenset(tables.vertices.ravel()[chosen].tolist())
+    # drop the flat indices before the set is built, the trace's peak
+    packing = tables.vertices.ravel()[chosen]
+    chosen = None
+    return frozenset(packing.tolist())
 
 
 def solve(g: Graph, td: TreeDecomposition | None = None) -> SolveResult:

@@ -460,6 +460,26 @@ class TestGenerate:
         )
         assert code == 3
 
+    def test_one_part_multipartite_is_the_empty_graph(self, capsys, tmp_path):
+        out_file = tmp_path / "k3.gr"
+        code, out, err = run_cli(
+            capsys, "generate", "--family", "multipartite", "--parts", "3", "-o", str(out_file)
+        )
+        assert (code, err) == (0, "")
+        assert out_file.read_text() == write_graph(empty(3))
+        sidecar = json.loads((tmp_path / "k3.json").read_text())
+        assert sidecar["expected"] == {"tnp": 3, "roman": 3}
+
+    @pytest.mark.parametrize("parts", ["2,x", ",", "2,,3", "1.5,2"])
+    def test_parts_must_be_integers(self, capsys, tmp_path, parts):
+        out_file = tmp_path / "x.gr"
+        code, out, err = run_cli(
+            capsys, "generate", "--family", "multipartite", "--parts", parts, "-o", str(out_file)
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: --parts takes comma-separated integers, not {parts!r}\n"
+        assert not out_file.exists()
+
 
 class TestReduce:
     def test_offset_sidecar(self, capsys, tmp_path):

@@ -310,7 +310,9 @@ def test_signature_masks_match(dp_suite):
             bag = ntd.bags[t]
             kind = ntd.kinds[t]
             if kind == JOIN:
-                (tid,) = tables.joins[t]
+                first, second = ntd.children[t]
+                assert tables.joins[first] == -1
+                tid = tables.joins[second]
                 assert tables.transitions[tid][0][1] == reference_join_adj_masks(ntd, t, g)
             elif kind in (INTRODUCE, FORGET):
                 child = ntd.children[t][0]

@@ -226,6 +226,23 @@ class TestExpectedValues:
         assert expected_values("gap", {"n": 4}) == {"tnp": 2, "roman_lower": 3}
         assert expected_values("kc4", {"k": 10}) == {"tnp": 20, "roman": 30}
 
+    @pytest.mark.parametrize("family", ["complete", "empty"])
+    def test_complete_and_empty_check_n(self, family):
+        # the builders' messages: generate's builder raises first either way
+        for n in (0, -2):
+            with pytest.raises(ValueError, match=f"{family} graph needs n >= 1"):
+                expected_values(family, {"n": n})
+            with pytest.raises(ValueError, match=f"{family} graph needs n >= 1"):
+                FAMILIES[family][1](n)
+
+    @pytest.mark.parametrize("part", [1, 3, 6])
+    def test_one_part_is_the_empty_graph(self, part):
+        g = complete_multipartite([part])
+        assert g == empty(part)
+        values = expected_values("multipartite", {"parts": [part]})
+        assert values == expected_values("empty", {"n": part}) == {"tnp": part, "roman": part}
+        assert values == {"tnp": tnp_brute(g, cap=g.n).value, "roman": roman_brute(g, cap=g.n).value}
+
 
 # family -> parameter sets small enough for both brute-force oracles
 ORACLE_CASES = {

@@ -183,8 +183,10 @@ class TestClosedForm:
     def test_errors(self):
         with pytest.raises(ValueError):
             closed_form("cycle", 2)
-        with pytest.raises(ValueError):
-            closed_form("multipartite", (5,))
+        with pytest.raises(ValueError, match="at least one part"):
+            closed_form("multipartite", ())
+        with pytest.raises(ValueError, match="part sizes must be positive"):
+            closed_form("multipartite", (0, 3))
         with pytest.raises(ValueError):
             closed_form("path", 0)
 
@@ -195,6 +197,11 @@ class TestClosedForm:
         for n in range(3, 11):
             assert closed_form("cycle", n)[0] == tnp_brute(cycle(n)).value
             assert closed_form("cycle", n)[1] == roman_brute(cycle(n)).value
+        # one part: the edgeless graph
+        for p in range(1, 8):
+            g = complete_multipartite([p])
+            assert closed_form("multipartite", (p,)) == (p, p)
+            assert (tnp_brute(g).value, roman_brute(g).value) == (p, p)
 
 
 class TestSuiteInvariants:
